@@ -1,5 +1,6 @@
 #include "net/real_cluster.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
@@ -56,11 +57,21 @@ RealNode::~RealNode() { stop(); }
 void RealNode::start() {
   transport_->start();
   running_.store(true);
+  // Rebuild the application state machine from the stored snapshot before
+  // any entry beyond it can reach the apply hook. Outside mu_, like every
+  // hook: the application takes its own locks inside (KvServer's are taken
+  // before mu_), and the driver thread does not run yet.
+  if (boot_snapshot_) {
+    snapshot_bytes_ = boot_snapshot_->state.size();
+    std::function<void(const raft::Snapshot&)> restore;
+    {
+      std::lock_guard lock(mu_);
+      restore = restore_hook_;
+    }
+    if (restore) restore(*boot_snapshot_);
+  }
   {
     std::lock_guard lock(mu_);
-    // Rebuild the application state machine from the stored snapshot before
-    // any entry beyond it can reach the apply hook.
-    if (boot_snapshot_ && restore_hook_) restore_hook_(*boot_snapshot_);
     node_->start(clock_.now());
   }
   driver_ = std::thread([this] { run_loop(); });
@@ -106,6 +117,11 @@ void RealNode::set_read_hook(std::function<void(const raft::ReadGrant&)> hook) {
 void RealNode::set_restore_hook(std::function<void(const raft::Snapshot&)> hook) {
   std::lock_guard lock(mu_);
   restore_hook_ = std::move(hook);
+}
+
+void RealNode::set_snapshot_hook(std::function<std::vector<std::uint8_t>()> hook) {
+  std::lock_guard lock(mu_);
+  snapshot_hook_ = std::move(hook);
 }
 
 Role RealNode::role() const {
@@ -162,6 +178,7 @@ void RealNode::run_loop() {
     // so a replication fan-out ships as one send_batch), the
     // environment-facing effects flush outside it in the mandatory order —
     // send, restore, apply, grant.
+    LogIndex handed = 0;  // last index handed to the restore/apply hooks
     for (;;) {
       effects.clear();
       bool drained = false;
@@ -177,9 +194,16 @@ void RealNode::run_loop() {
       }
       if (!drained) break;
       transport_->send_batch(effects.messages);
-      if (effects.restore && restore_hook) restore_hook(*effects.restore);
-      if (hook) {
-        for (const auto& entry : effects.committed) hook(entry);
+      if (effects.restore) {
+        handed = effects.restore->last_included_index;
+        snapshot_bytes_ = effects.restore->state.size();
+        if (restore_hook) restore_hook(*effects.restore);
+      }
+      if (!effects.committed.empty()) {
+        if (hook) {
+          for (const auto& entry : effects.committed) hook(entry);
+        }
+        handed = effects.committed.back().index;
       }
       // Strictly after the entries: an `ok` grant promises the state machine
       // the read hook serves from already covers its read index.
@@ -187,7 +211,26 @@ void RealNode::run_loop() {
         for (const auto& grant : effects.read_grants) read_hook(grant);
       }
     }
+    if (handed > 0) maybe_compact(handed);
   }
+}
+
+void RealNode::maybe_compact(LogIndex applied) {
+  std::function<std::vector<std::uint8_t>()> hook;
+  {
+    std::lock_guard lock(mu_);
+    const std::size_t threshold = std::max(kCompactionRatio * snapshot_bytes_, kMinCompactionBytes);
+    if (!snapshot_hook_ || node_->log().approx_bytes() < threshold) return;
+    hook = snapshot_hook_;
+  }
+  // Outside the lock: the state machine belongs to this thread, and it sits
+  // at `applied` until this thread drains again. The core may have committed
+  // further entries meanwhile; compact() takes the boundary we pass, never
+  // its own last_applied().
+  auto state = hook();
+  const std::size_t bytes = state.size();
+  std::lock_guard lock(mu_);
+  if (node_->compact(applied, std::move(state), clock_.now())) snapshot_bytes_ = bytes;
 }
 
 }  // namespace escape::net

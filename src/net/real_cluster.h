@@ -8,8 +8,18 @@
 // flushed outside it — so the consensus core itself stays single-threaded
 // and performs no I/O, exactly as in the simulator.
 //
-// This is the deployment path a downstream user runs on a real cluster; the
-// repo's benches use the simulator instead (determinism and virtual time).
+// Compaction: once a drain has handed every committed entry to the apply
+// hook, the driver thread compares the retained log with the latest
+// snapshot. When log().approx_bytes() reaches
+// max(kCompactionRatio x snapshot bytes, kMinCompactionBytes), it asks the
+// snapshot hook for the state machine and calls RaftNode::compact at the
+// last index handed to the hooks; the next drain persists the snapshot and
+// rolls the WAL. Memory, WAL size and restart time then follow the state,
+// not the history.
+//
+// This is the deployment path a downstream user runs on a real cluster, and
+// the one perfbench and fig16 measure; fig09–fig15 use the simulator instead
+// (determinism and virtual time).
 #pragma once
 
 #include <atomic>
@@ -39,13 +49,21 @@ using PolicyFactory =
 
 class RealNode {
  public:
+  /// Compact when the retained log reaches this multiple of the latest
+  /// snapshot's state (LogCabin's default ratio)...
+  static constexpr std::size_t kCompactionRatio = 4;
+  /// ...but never below this many bytes, so a tiny state machine does not
+  /// snapshot on every few entries.
+  static constexpr std::size_t kMinCompactionBytes = 64 * 1024;
+
   struct Options {
     Options() { node.commit_noop_on_elect = true; }  // production semantics
 
     raft::NodeOptions node;
     /// When non-empty, durable state lives in `<data_dir>/S<id>.state`,
-    /// `<data_dir>/S<id>.wal` and `<data_dir>/S<id>.snap`; otherwise
-    /// volatile in-memory stores are used.
+    /// `<data_dir>/S<id>.snap` and the WAL `<data_dir>/S<id>.wal` plus its
+    /// rolled segments `S<id>.wal.<seq>`; otherwise volatile in-memory
+    /// stores are used.
     std::string data_dir;
     std::uint64_t seed = 1;
     /// Pre-bound listening socket to adopt (port-0 path; see
@@ -91,6 +109,12 @@ class RealNode {
   /// stored snapshot (set the hook before start()).
   void set_restore_hook(std::function<void(const raft::Snapshot&)> hook);
 
+  /// Hook invoked (on the driver thread, between drains) to serialize the
+  /// application state machine for a compaction: it must return the state
+  /// after exactly the entries the apply hook has seen. Unset: the node
+  /// never compacts its own log.
+  void set_snapshot_hook(std::function<std::vector<std::uint8_t>()> hook);
+
   // Thread-safe snapshots of node state.
   Role role() const;
   Term term() const;
@@ -105,6 +129,9 @@ class RealNode {
 
  private:
   void run_loop();
+  /// Compacts through `applied` (the last index handed to the apply or
+  /// restore hook) when the retained log crossed the threshold.
+  void maybe_compact(LogIndex applied);
 
   const ServerId id_;
   Options options_;
@@ -124,6 +151,10 @@ class RealNode {
   std::function<void(const rpc::LogEntry&)> apply_hook_;
   std::function<void(const raft::ReadGrant&)> read_hook_;
   std::function<void(const raft::Snapshot&)> restore_hook_;
+  std::function<std::vector<std::uint8_t>()> snapshot_hook_;
+  /// State size of the latest snapshot (boot, installed or taken); driver
+  /// thread only.
+  std::size_t snapshot_bytes_ = 0;
 
   std::thread driver_;
   std::atomic<bool> running_{false};

@@ -26,6 +26,7 @@ void Log::append(rpc::LogEntry entry) {
   if (entry.index != last_index() + 1) {
     throw std::logic_error("Log::append: non-contiguous index");
   }
+  bytes_ += entry_bytes(entry);
   entries_.push_back(std::move(entry));
 }
 
@@ -34,7 +35,9 @@ void Log::truncate_from(LogIndex from) {
     throw std::logic_error("Log::truncate_from: index already compacted");
   }
   if (from > last_index()) return;
-  entries_.resize(static_cast<std::size_t>(from - base_ - 1));
+  const auto keep = entries_.begin() + static_cast<std::ptrdiff_t>(from - base_ - 1);
+  for (auto it = keep; it != entries_.end(); ++it) bytes_ -= entry_bytes(*it);
+  entries_.erase(keep, entries_.end());
 }
 
 void Log::compact_to(LogIndex upto) {
@@ -43,13 +46,15 @@ void Log::compact_to(LogIndex upto) {
     throw std::logic_error("Log::compact_to: beyond tail");
   }
   base_term_ = entries_[static_cast<std::size_t>(upto - base_ - 1)].term;
-  entries_.erase(entries_.begin(),
-                 entries_.begin() + static_cast<std::ptrdiff_t>(upto - base_));
+  const auto end = entries_.begin() + static_cast<std::ptrdiff_t>(upto - base_);
+  for (auto it = entries_.begin(); it != end; ++it) bytes_ -= entry_bytes(*it);
+  entries_.erase(entries_.begin(), end);
   base_ = upto;
 }
 
 void Log::reset_to(LogIndex index, Term term) {
   entries_.clear();
+  bytes_ = 0;
   base_ = index;
   base_term_ = term;
 }
@@ -86,13 +91,6 @@ std::optional<LogIndex> Log::last_index_of_term(Term t) const {
     if (entries_[i - 1].term == t) return base_ + static_cast<LogIndex>(i);
   }
   return std::nullopt;
-}
-
-std::size_t Log::approx_bytes() const {
-  // Per-entry header: term + index (two i64s on the wire).
-  std::size_t bytes = 0;
-  for (const auto& e : entries_) bytes += 16 + e.command.size();
-  return bytes;
 }
 
 }  // namespace escape::raft

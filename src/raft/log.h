@@ -88,14 +88,19 @@ class Log {
   std::size_t size() const { return entries_.size(); }
 
   /// Approximate heap footprint of the stored suffix: command bytes plus a
-  /// fixed per-entry header. The compaction bench reports this as "log bytes
-  /// retained".
-  std::size_t approx_bytes() const;
+  /// fixed per-entry header. O(1) — a running count — because the durable
+  /// runtime checks it after every drain to decide when to compact.
+  std::size_t approx_bytes() const { return bytes_; }
+
+  /// approx_bytes()'s share of one entry: a 16-byte term + index header
+  /// plus the command.
+  static std::size_t entry_bytes(const rpc::LogEntry& e) { return 16 + e.command.size(); }
 
  private:
   LogIndex base_ = 0;   ///< highest compacted index; entries_[0] is base_+1
   Term base_term_ = 0;  ///< term of the entry at base_ (snapshot boundary)
   std::vector<rpc::LogEntry> entries_;
+  std::size_t bytes_ = 0;  ///< sum of entry_bytes() over entries_
 };
 
 }  // namespace escape::raft

@@ -34,6 +34,7 @@ KvServer::KvServer(ServerId id, std::map<ServerId, std::uint16_t> raft_endpoints
   node_.set_apply_hook([this](const rpc::LogEntry& entry) { on_apply(entry); });
   node_.set_read_hook([this](const raft::ReadGrant& grant) { on_read(grant); });
   node_.set_restore_hook([this](const raft::Snapshot& snapshot) { on_restore(snapshot); });
+  node_.set_snapshot_hook([this] { return store_.snapshot(); });
 }
 
 KvServer::~KvServer() { stop(); }
@@ -47,8 +48,10 @@ void KvServer::start() {
 }
 
 void KvServer::stop() {
-  loop_.stop();
+  // Node first: its driver thread answers requests through loop_, so the
+  // loop must outlive it.
   node_.stop();
+  loop_.stop();
 }
 
 void KvServer::respond(net::EventLoop::ConnId conn, const Response& response) {

@@ -21,8 +21,8 @@
 //   * a non-leader answers kNotLeader with its leader hint.
 //
 // The KvStore is touched exclusively on the driver thread (apply / restore /
-// read grants), so the state machine itself needs no lock; only the pending
-// tables are shared with the client loop.
+// read grants / compaction snapshots), so the state machine itself needs no
+// lock; only the pending tables are shared with the client loop.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,8 @@
 #include "storage/snapshot_store.h"
 
-#include <cerrno>
-#include <cstring>
-#include <stdexcept>
-
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "common/logging.h"
 #include "common/serde.h"
+#include "storage/file_io.h"
 
 namespace escape::storage {
 namespace {
@@ -19,10 +13,6 @@ namespace {
 /// node falls back to its bootstrap member list).
 constexpr std::uint8_t kSnapshotVersionV1 = 1;
 constexpr std::uint8_t kSnapshotVersion = 2;
-
-void throw_errno(const std::string& op, const std::string& path) {
-  throw std::runtime_error(op + " failed for " + path + ": " + std::strerror(errno));
-}
 
 }  // namespace
 
@@ -71,43 +61,13 @@ std::optional<Snapshot> decode_snapshot(const std::vector<std::uint8_t>& buf) {
 FileSnapshotStore::FileSnapshotStore(std::string path) : path_(std::move(path)) {}
 
 void FileSnapshotStore::save(const Snapshot& snapshot) {
-  const auto buf = encode_snapshot(snapshot);
-  const std::string tmp = path_ + ".tmp";
-
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_errno("open", tmp);
-  std::size_t off = 0;
-  while (off < buf.size()) {
-    const ssize_t n = ::write(fd, buf.data() + off, buf.size() - off);
-    if (n < 0) {
-      ::close(fd);
-      throw_errno("write", tmp);
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw_errno("fsync", tmp);
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) throw_errno("rename", tmp);
+  replace_file_durably(path_, encode_snapshot(snapshot));
 }
 
 std::optional<Snapshot> FileSnapshotStore::load() {
-  const int fd = ::open(path_.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return std::nullopt;
-    throw_errno("open", path_);
-  }
-  std::vector<std::uint8_t> buf;
-  std::uint8_t chunk[1 << 16];
-  ssize_t n;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    buf.insert(buf.end(), chunk, chunk + n);
-  }
-  ::close(fd);
-  if (n < 0) throw_errno("read", path_);
-  auto snapshot = decode_snapshot(buf);
+  const auto buf = read_file(path_);
+  if (!buf) return std::nullopt;
+  auto snapshot = decode_snapshot(*buf);
   if (!snapshot) {
     LOG_WARN("snapshot file " << path_ << " is corrupt; treating as absent");
   }

@@ -6,9 +6,10 @@
 // serialization and the stores the drivers persist through.
 //
 // FileSnapshotStore writes WAL-style: the whole snapshot goes to
-// `<path>.tmp`, is fsynced, then atomically renamed over `<path>` — a crash
-// mid-write leaves the previous snapshot intact, and a CRC over the body
-// rejects torn or corrupted files at load time.
+// `<path>.tmp`, is fsynced, then atomically renamed over `<path>` and the
+// directory is fsynced — a crash mid-write leaves the previous snapshot
+// intact, and a CRC over the body rejects torn or corrupted files at load
+// time.
 #pragma once
 
 #include <optional>
@@ -62,7 +63,7 @@ class MemorySnapshotStore final : public SnapshotStore {
   std::size_t save_count_ = 0;
 };
 
-/// Crash-safe file-backed store (tmp + fsync + rename).
+/// Crash-safe file-backed store (tmp + fsync + rename + directory fsync).
 class FileSnapshotStore final : public SnapshotStore {
  public:
   /// `path` is the snapshot file; writes go to `path.tmp` then rename.

@@ -1,16 +1,10 @@
 #include "storage/state_store.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <stdexcept>
 #include <vector>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 #include "common/logging.h"
 #include "common/serde.h"
+#include "storage/file_io.h"
 
 namespace escape::storage {
 namespace {
@@ -50,52 +44,18 @@ std::optional<PersistentState> decode_state(const std::vector<std::uint8_t>& buf
   }
 }
 
-void throw_errno(const std::string& op, const std::string& path) {
-  throw std::runtime_error(op + " failed for " + path + ": " + std::strerror(errno));
-}
-
 }  // namespace
 
 FileStateStore::FileStateStore(std::string path) : path_(std::move(path)) {}
 
 void FileStateStore::save(const PersistentState& state) {
-  const auto buf = encode_state(state);
-  const std::string tmp = path_ + ".tmp";
-
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_errno("open", tmp);
-  std::size_t off = 0;
-  while (off < buf.size()) {
-    const ssize_t n = ::write(fd, buf.data() + off, buf.size() - off);
-    if (n < 0) {
-      ::close(fd);
-      throw_errno("write", tmp);
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw_errno("fsync", tmp);
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) throw_errno("rename", tmp);
+  replace_file_durably(path_, encode_state(state));
 }
 
 std::optional<PersistentState> FileStateStore::load() {
-  const int fd = ::open(path_.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return std::nullopt;
-    throw_errno("open", path_);
-  }
-  std::vector<std::uint8_t> buf;
-  std::uint8_t chunk[4096];
-  ssize_t n;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    buf.insert(buf.end(), chunk, chunk + n);
-  }
-  ::close(fd);
-  if (n < 0) throw_errno("read", path_);
-  auto state = decode_state(buf);
+  const auto buf = read_file(path_);
+  if (!buf) return std::nullopt;
+  auto state = decode_state(*buf);
   if (!state) {
     LOG_WARN("state file " << path_ << " is corrupt; treating as absent");
   }

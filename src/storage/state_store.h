@@ -5,8 +5,8 @@
 // paper's Figure 5b depends on a recovering server restoring its (possibly
 // stale) priority and configuration clock.
 //
-// FileStateStore writes atomically (tmp file + fsync + rename) with a CRC so
-// a crash mid-write leaves the previous state intact.
+// FileStateStore writes atomically (tmp file + fsync + rename + directory
+// fsync) with a CRC so a crash mid-write leaves the previous state intact.
 #pragma once
 
 #include <optional>

@@ -6,9 +6,9 @@
 //   * NullWal    — discards everything (pure in-memory simulation runs).
 //   * MemoryWal  — replays into a vector; lets tests model a disk that
 //                  survives a simulated crash.
-//   * FileWal    — record-oriented file with CRC-protected records and
-//                  torn-write recovery: a partially written final record is
-//                  detected and discarded on open, everything before it is
+//   * FileWal    — record-oriented segment files with CRC-protected records
+//                  and torn-write recovery: a partially written final record
+//                  is detected and discarded on open, everything before it is
 //                  replayed.
 //
 // Compaction: compact_to(upto) records that every entry with index <= upto
@@ -17,6 +17,17 @@
 // the state that those dropped entries produced.
 //
 // FileWal record layout: [kind u8][len u32][crc u32][payload len bytes].
+//
+// FileWal segments: a WAL that never compacted is the single file `path`.
+// compact_to(upto) seals the open segment (fsync if it holds unsynced
+// records), starts `path.<seq>` (seq = 1, 2, ..., eight digits) with the
+// compact record, and unlinks the oldest segments while every index they
+// mention is <= upto. The next sync() fsyncs the new segment and then the
+// directory, so the creation and unlinks are durable before anything
+// written after the compaction is acknowledged; the snapshot covering the
+// unlinked segments was made durable before compact_to. Recovery replays
+// the surviving segments in order as one record stream, so disk use and
+// restart time follow the retained log, not the whole history.
 #pragma once
 
 #include <memory>
@@ -94,9 +105,10 @@ class MemoryWal final : public Wal {
 /// File-backed WAL.
 class FileWal final : public Wal {
  public:
-  /// Opens (creating if needed) the WAL at `path` and replays existing
-  /// records. Recovered entries are available via recovered_entries() until
-  /// the first mutation. A trailing torn record is truncated away.
+  /// Opens (creating if needed) the WAL at `path` and replays its segments.
+  /// Recovered entries are available via recovered_entries(). A trailing
+  /// torn record is truncated away; a corrupt record ends the replay and
+  /// every later segment is deleted.
   explicit FileWal(std::string path, bool sync_every_record = false);
   ~FileWal() override;
 
@@ -110,23 +122,39 @@ class FileWal final : public Wal {
   void sync() override;
   std::vector<rpc::LogEntry> recovered() const override { return recovered_; }
 
-  /// Entries reconstructed from the file at open time (those past the last
-  /// compaction record; see recovered_base()).
+  /// Entries reconstructed from the segments at open time (those past the
+  /// last compaction record; see recovered_base()).
   const std::vector<rpc::LogEntry>& recovered_entries() const { return recovered_; }
 
-  /// Highest compacted index recorded in the file (0 when never compacted);
-  /// recovered_entries() starts at recovered_base()+1.
-  LogIndex recovered_base() const { return base_; }
+  /// Index just below recovered_entries(): the highest compaction record
+  /// (0 when never compacted), or higher when the replay met a forward gap —
+  /// appends that resumed above an unlinked segment, or above a snapshot
+  /// whose compact record a crash lost.
+  LogIndex recovered_base() const {
+    return recovered_.empty() ? base_ : recovered_.front().index - 1;
+  }
 
  private:
+  struct Segment {
+    std::string path;
+    LogIndex last_index = 0;  ///< highest index any record in it mentions
+  };
+
+  /// Replays one record into recovered_; false ends the replay (the record
+  /// contradicts the stream: corrupt or written by a buggy writer).
+  bool replay_record(std::uint8_t kind, const std::vector<std::uint8_t>& payload, Segment& segment);
   void write_record(std::uint8_t kind, const std::vector<std::uint8_t>& payload);
   void write_buffer(const std::vector<std::uint8_t>& buf);
 
   std::string path_;
   bool sync_every_record_;
-  int fd_ = -1;
-  LogIndex base_ = 0;
-  std::vector<rpc::LogEntry> recovered_;
+  int fd_ = -1;                           ///< open on segments_.back()
+  LogIndex base_ = 0;                     ///< highest compaction record replayed or written
+  std::vector<rpc::LogEntry> recovered_;  ///< contiguous, all above base_
+  std::vector<Segment> segments_;         ///< oldest first; never empty once open
+  std::uint64_t next_seq_ = 1;            ///< suffix of the next rolled segment
+  bool unsynced_ = false;                 ///< records written since the last sync()
+  bool directory_changed_ = false;        ///< segments created/unlinked since then
 };
 
 }  // namespace escape::storage

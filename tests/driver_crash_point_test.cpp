@@ -24,6 +24,7 @@
 // class is compiled in release builds too, so this runs everywhere).
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -35,6 +36,11 @@
 #include "raft/driver.h"
 #include "raft/membership.h"
 #include "raft/raft_node.h"
+#include "storage/snapshot_store.h"
+#include "storage/state_store.h"
+#include "storage/wal.h"
+
+#include <unistd.h>
 
 namespace escape::raft {
 namespace {
@@ -786,6 +792,198 @@ TEST(ReadySequenceCheckerTest, AsyncLeaderShipmentOverclaimIsCaught) {
   EXPECT_THROW(checker.check_send(rd), std::logic_error);
   checker.note_persisted(rd);
   EXPECT_NO_THROW(checker.check_send(rd));
+}
+
+// --- WAL rollover: kill points inside a compaction on file stores ----------
+//
+// A compaction batch is [save snapshot, compact record]; FileWal turns the
+// compact record into a rollover: seal the open segment, create the next
+// one, unlink the covered ones. The kills below land between those steps,
+// and every restart must rebuild the same log and state machine — the same
+// one a crash after the whole compaction rebuilds.
+
+/// Forwards to a FileWal, except that it can die at the start of
+/// compact_to(): the snapshot is saved, the compact record is not written.
+class KillableWal final : public storage::Wal {
+ public:
+  KillableWal(storage::FileWal& inner, bool die_at_compact)
+      : inner_(inner), die_at_compact_(die_at_compact) {}
+  void append(const rpc::LogEntry& e) override { inner_.append(e); }
+  void append_batch(const std::vector<rpc::LogEntry>& es) override { inner_.append_batch(es); }
+  void truncate_from(LogIndex from) override { inner_.truncate_from(from); }
+  void compact_to(LogIndex upto) override {
+    if (die_at_compact_) throw CrashInjected{};
+    inner_.compact_to(upto);
+  }
+  void sync() override { inner_.sync(); }
+  std::vector<rpc::LogEntry> recovered() const override { return inner_.recovered(); }
+
+ private:
+  storage::FileWal& inner_;
+  const bool die_at_compact_;
+};
+
+/// What a restart rebuilds: the log above the snapshot plus the state.
+struct DurableImage {
+  LogIndex base = 0;
+  std::vector<rpc::LogEntry> entries;
+  std::vector<std::uint8_t> state;
+  bool operator==(const DurableImage&) const = default;
+};
+
+/// A single-voter node over file stores in `dir` (it commits on its own, so
+/// every submit is applied by the next drain).
+class FileNode {
+ public:
+  explicit FileNode(const std::filesystem::path& dir, bool die_at_compact = false)
+      : store_((dir / "S1.state").string()),
+        file_wal_((dir / "S1.wal").string()),
+        snaps_((dir / "S1.snap").string()),
+        wal_(file_wal_, die_at_compact),
+        driver_(store_, wal_, &snaps_) {
+    auto policy = std::make_unique<RaftRandomizedPolicy>(from_ms(150), from_ms(300));
+    node_ = std::make_unique<RaftNode>(1, std::vector<ServerId>{1}, std::move(policy), Rng(3),
+                                       NodeOptions{}, driver_.recover());
+    driver_.attach(*node_);
+    node_->start(now_);
+    driver_.pump();
+    now_ += from_ms(1000);
+    node_->tick(now_);
+    driver_.pump();
+  }
+
+  void submit(int count) {
+    for (int i = 0; i < count; ++i) {
+      const auto index = node_->submit({static_cast<std::uint8_t>(i)}, now_);
+      EXPECT_TRUE(index.has_value());
+      driver_.pump();
+    }
+  }
+
+  /// Compacts through everything applied but the last `behind` entries; the
+  /// state names its boundary.
+  void compact(LogIndex behind = 0) {
+    const LogIndex upto = node_->last_applied() - behind;
+    const std::vector<std::uint8_t> state = {'k', 'v', static_cast<std::uint8_t>(upto)};
+    ASSERT_TRUE(node_->compact(upto, state, now_).has_value());
+    driver_.pump();
+  }
+
+  DurableImage image() const {
+    DurableImage out;
+    out.base = node_->log().base();
+    for (LogIndex i = node_->log().first_index(); i <= node_->log().last_index(); ++i) {
+      out.entries.push_back(*node_->log().entry_at(i));
+    }
+    if (node_->snapshot()) out.state = node_->snapshot()->state;
+    return out;
+  }
+
+ private:
+  storage::FileStateStore store_;
+  storage::FileWal file_wal_;
+  storage::FileSnapshotStore snaps_;
+  KillableWal wal_;
+  NodeDriver driver_;
+  std::unique_ptr<RaftNode> node_;
+  TimePoint now_ = 0;
+};
+
+class WalRolloverCrashTest : public ::testing::Test {
+ protected:
+  enum class Kill { kBeforeCompactRecord, kBeforeUnlink, kAfterUnlink };
+
+  void SetUp() override {
+    root_ = std::filesystem::temp_directory_path() /
+            ("escape_rollover_" + std::to_string(::getpid()) + "_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(root_);
+  }
+  void TearDown() override { std::filesystem::remove_all(root_); }
+
+  static std::vector<std::string> wal_files(const std::filesystem::path& dir) {
+    std::vector<std::string> names;
+    for (const auto& item : std::filesystem::directory_iterator(dir)) {
+      const std::string name = item.path().filename().string();
+      if (name.rfind("S1.wal", 0) == 0) names.push_back(name);
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  }
+
+  /// History with one earlier rollover (so the kill's compaction has two
+  /// segments to unlink), then a compaction killed at `kill`. Returns what
+  /// the node held in memory right after the compaction (nullopt when the
+  /// kill came first).
+  std::optional<DurableImage> run(const std::filesystem::path& dir, Kill kill) {
+    std::filesystem::create_directories(dir);
+    {
+      FileNode node(dir);
+      node.submit(30);
+      node.compact(/*behind=*/5);  // S1.wal keeps 26..30, so it stays
+      node.submit(20);
+    }
+    EXPECT_EQ(wal_files(dir), (std::vector<std::string>{"S1.wal", "S1.wal.00000001"}));
+
+    // The crashing incarnation: a restart, more writes, then the compaction.
+    const std::filesystem::path saved = dir / "pre-compaction";
+    std::filesystem::create_directories(saved);
+    FileNode node(dir, kill == Kill::kBeforeCompactRecord);
+    node.submit(10);
+    for (const auto& name : wal_files(dir)) {
+      std::filesystem::copy_file(dir / name, saved / name);
+    }
+    if (kill == Kill::kBeforeCompactRecord) {
+      EXPECT_THROW(node.compact(), CrashInjected);
+      EXPECT_EQ(wal_files(dir), (std::vector<std::string>{"S1.wal", "S1.wal.00000001"}));
+      return std::nullopt;
+    }
+    node.compact();
+    // Both older segments held only indices the snapshot covers.
+    EXPECT_EQ(wal_files(dir), std::vector<std::string>{"S1.wal.00000002"});
+    if (kill == Kill::kBeforeUnlink) {
+      // The disk as it stood after the new segment was created and before
+      // the unlinks: nothing is written to an old segment once it is sealed,
+      // so the copies are exactly those files.
+      for (const auto& item : std::filesystem::directory_iterator(saved)) {
+        std::filesystem::copy_file(item.path(), dir / item.path().filename());
+      }
+    }
+    return node.image();
+  }
+
+  std::filesystem::path root_;
+};
+
+TEST_F(WalRolloverCrashTest, EveryKillPointRecoversTheSameLogAndState) {
+  // What the node held in memory once its compaction completed.
+  const auto reference = run(root_ / "reference", Kill::kAfterUnlink);
+  ASSERT_TRUE(reference.has_value());
+  ASSERT_FALSE(reference->state.empty());
+
+  for (const Kill kill : {Kill::kBeforeCompactRecord, Kill::kBeforeUnlink, Kill::kAfterUnlink}) {
+    SCOPED_TRACE(static_cast<int>(kill));
+    const auto dir = root_ / ("kill" + std::to_string(static_cast<int>(kill)));
+    run(dir, kill);
+    DurableImage recovered;
+    {
+      FileNode restarted(dir);
+      recovered = restarted.image();
+      // The restarted node keeps going: more writes and another rollover.
+      restarted.submit(5);
+      restarted.compact();
+      restarted.submit(3);
+    }
+    EXPECT_EQ(recovered, *reference);
+
+    FileNode again(dir);
+    const DurableImage later = again.image();
+    EXPECT_EQ(later.base, reference->base + 5);
+    EXPECT_EQ(later.entries.size(), 3u);
+    // The second rollover covered every older segment, whichever survived
+    // the kill.
+    EXPECT_EQ(wal_files(dir).size(), 1u);
+  }
 }
 
 }  // namespace

@@ -3,13 +3,16 @@
 // sockets speaking serve::kv_wire (redirects, session dedup).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -301,6 +304,198 @@ TEST(KvServerTest, LeaderKillResolvesEveryPendingWrite) {
   EXPECT_EQ(get_result.value, "yes");
 
   client.stop();
+}
+
+// --- durable cluster: compaction on the deployed path ------------------------
+
+/// Three KvServers with their files under one data_dir. Ports are bound once
+/// and kept, so a stopped replica restarts on the same ports from its files,
+/// as an operator would restart a crashed process.
+struct DurableServingCluster {
+  std::filesystem::path dir;
+  std::map<ServerId, std::uint16_t> raft_ports;
+  std::map<ServerId, std::uint16_t> client_ports;
+  std::map<ServerId, std::unique_ptr<KvServer>> servers;
+
+  explicit DurableServingCluster(std::filesystem::path data_dir) : dir(std::move(data_dir)) {
+    std::filesystem::create_directories(dir);
+    std::map<ServerId, net::BoundListener> raft, client;
+    for (ServerId id = 1; id <= 3; ++id) {
+      raft[id] = net::bind_loopback_listener(0);
+      client[id] = net::bind_loopback_listener(0);
+      raft_ports[id] = raft[id].port;
+      client_ports[id] = client[id].port;
+    }
+    for (ServerId id = 1; id <= 3; ++id) start(id, raft[id], client[id]);
+  }
+
+  ~DurableServingCluster() {
+    for (auto& [id, server] : servers) {
+      if (server) server->stop();
+    }
+  }
+
+  void start(ServerId id, net::BoundListener raft, net::BoundListener client) {
+    KvServer::Options options;
+    options.node.node.heartbeat_interval = from_ms(60);
+    options.node.listen_fd = raft.fd;
+    options.node.data_dir = dir.string();
+    options.node.seed = 77 + id;
+    options.client_listen_fd = client.fd;
+    servers[id] = std::make_unique<KvServer>(id, raft_ports, fast_escape(), options);
+    servers[id]->start();
+  }
+
+  void kill(ServerId id) {
+    servers.at(id)->stop();
+    servers.at(id).reset();
+  }
+
+  void restart(ServerId id) {
+    start(id, net::bind_loopback_listener(raft_ports.at(id)),
+          net::bind_loopback_listener(client_ports.at(id)));
+  }
+
+  ServerId wait_for_leader(std::chrono::milliseconds timeout = 5000ms) const {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (std::chrono::steady_clock::now() < deadline) {
+      for (const auto& [id, server] : servers) {
+        if (server && server->node().role() == Role::kLeader) return id;
+      }
+      std::this_thread::sleep_for(10ms);
+    }
+    return kNoServer;
+  }
+
+  /// Every live replica reports the same commit index.
+  bool commits_converge(std::chrono::milliseconds timeout) const {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (std::chrono::steady_clock::now() < deadline) {
+      std::vector<LogIndex> commits;
+      for (const auto& [id, server] : servers) {
+        if (server) commits.push_back(server->node().commit_index());
+      }
+      const auto [lo, hi] = std::minmax_element(commits.begin(), commits.end());
+      if (lo != commits.end() && *lo == *hi) return true;
+      std::this_thread::sleep_for(10ms);
+    }
+    return false;
+  }
+
+  /// Bytes of replica `id`'s files named `S<id>` + `suffix` + anything.
+  std::uintmax_t bytes(ServerId id, const std::string& suffix) const {
+    const std::string prefix = server_name(id) + suffix;
+    std::uintmax_t total = 0;
+    for (const auto& item : std::filesystem::directory_iterator(dir)) {
+      if (item.path().filename().string().rfind(prefix, 0) == 0) total += item.file_size();
+    }
+    return total;
+  }
+};
+
+/// Writes the dedup probe (client 900, sequence 1) to the leader; a retry
+/// sends `value` under the same identity. Returns the response status.
+Status send_dedup_probe(std::uint16_t leader_port, const std::string& value) {
+  const int fd = connect_blocking(leader_port);
+  Request request;
+  request.request_id = 1;
+  request.command = put("dedup", value);
+  request.command.client_id = 900;
+  request.command.sequence = 1;
+  const auto response = roundtrip(fd, request);
+  ::close(fd);
+  return response ? response->status : Status::kTimeout;
+}
+
+TEST(KvServerTest, DurableClusterCompactsAndCatchesUpBySnapshot) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("escape_kv_compaction_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    DurableServingCluster cluster(dir);
+    const ServerId leader = cluster.wait_for_leader();
+    ASSERT_NE(leader, kNoServer);
+    // A follower goes down with (almost) an empty log and stays down until
+    // the leader has compacted far past it.
+    const ServerId follower = leader == 1 ? 2 : 1;
+    cluster.kill(follower);
+    ASSERT_EQ(send_dedup_probe(cluster.client_ports[leader], "original"), Status::kOk);
+
+    // 100 keys x 200-byte values: a ~22 KB state, so the compaction
+    // threshold is kCompactionRatio x state (> kMinCompactionBytes) and
+    // 1600 Puts cross it several times.
+    constexpr int kKeys = 100;
+    constexpr int kWrites = 1600;
+    std::map<std::string, std::string> expected;
+    KvClient::Options options;
+    options.timeout = from_ms(20'000);
+    KvClient client(cluster.client_ports, 30'000, options);
+    client.start();
+    std::atomic<int> done{0};
+    std::atomic<int> ok{0};
+    for (int i = 0; i < kWrites; ++i) {
+      const std::string key = "key" + std::to_string(i % kKeys);
+      std::string value(200, static_cast<char>('a' + i % 26));
+      value += std::to_string(i);
+      expected[key] = value;
+      // Writes to one key go in order: one key per lane would reorder them,
+      // so the last of each key waits for everything before it.
+      if (i + kKeys >= kWrites) {
+        while (done.load() < i) std::this_thread::sleep_for(1ms);
+      }
+      client.submit(put(key, value), [&](Status status, const kv::CommandResult&) {
+        if (status == Status::kOk) ok.fetch_add(1);
+        done.fetch_add(1);
+      });
+    }
+    const auto deadline = std::chrono::steady_clock::now() + 60s;
+    while (done.load() < kWrites && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(5ms);
+    }
+    ASSERT_EQ(ok.load(), kWrites);
+    EXPECT_GE(cluster.servers[leader]->node().counters().snapshots_taken, 3u);
+
+    cluster.restart(follower);
+    ASSERT_TRUE(cluster.commits_converge(20s));
+    EXPECT_GE(cluster.servers[follower]->node().counters().snapshots_installed, 1u);
+
+    for (const auto& [key, value] : expected) {
+      auto [status, result] = sync_op(client, get(key), 10000ms);
+      ASSERT_EQ(status, Status::kOk) << key;
+      EXPECT_EQ(result.value, value) << key;
+    }
+    client.stop();
+
+    // Disk follows the state, not the history: per replica, the snapshot
+    // plus at most two compaction intervals of WAL (each about
+    // kCompactionRatio x the state), against ~27x without compaction.
+    for (ServerId id = 1; id <= 3; ++id) {
+      const auto state = cluster.bytes(id, ".snap");
+      ASSERT_GT(state, 20'000u) << server_name(id);
+      EXPECT_LE(cluster.bytes(id, ".wal") + state, 12 * state) << server_name(id);
+    }
+  }
+
+  // Full-cluster restart: every store is rebuilt from its snapshot and WAL
+  // suffix, dedup sessions included.
+  DurableServingCluster restarted(dir);
+  const ServerId leader = restarted.wait_for_leader();
+  ASSERT_NE(leader, kNoServer);
+  KvClient client(restarted.client_ports, 40'000);
+  client.start();
+  auto [status, result] = sync_op(client, get("key7"), 10000ms);
+  ASSERT_EQ(status, Status::kOk);
+  EXPECT_EQ(result.value.size(), 200u + 4u);
+  EXPECT_EQ(result.value.substr(200), "1507");
+  // The retried (client_id, sequence) is answered without executing again.
+  EXPECT_EQ(send_dedup_probe(restarted.client_ports[leader], "replayed-must-not-apply"),
+            Status::kOk);
+  auto [dedup_status, dedup] = sync_op(client, get("dedup"), 10000ms);
+  ASSERT_EQ(dedup_status, Status::kOk);
+  EXPECT_EQ(dedup.value, "original");
+  client.stop();
+  restarted.servers.clear();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 namespace escape::storage {
 namespace {
 
@@ -174,6 +176,39 @@ TEST(LogTest, ApproxBytesTracksSuffixOnly) {
   EXPECT_EQ(log.approx_bytes(), 4 * 17u);
   log.compact_to(3);
   EXPECT_EQ(log.approx_bytes(), 17u);
+}
+
+TEST(LogTest, ApproxBytesMatchesRecomputationAfterRandomOps) {
+  // approx_bytes() is a running count; after every op of a random sequence
+  // it must equal the sum over the stored suffix.
+  std::mt19937_64 rng(20261017);
+  Log log;
+  const auto recomputed = [&log] {
+    std::size_t bytes = 0;
+    for (LogIndex i = log.first_index(); i <= log.last_index(); ++i) {
+      bytes += Log::entry_bytes(*log.entry_at(i));
+    }
+    return bytes;
+  };
+  Term term = 1;
+  for (int step = 0; step < 5000; ++step) {
+    const auto roll = rng() % 100;
+    if (roll < 60) {
+      rpc::LogEntry e;
+      e.term = term;
+      e.index = log.last_index() + 1;
+      e.command.assign(rng() % 200, 0xAB);
+      log.append(std::move(e));
+    } else if (roll < 75 && log.size() > 0) {
+      log.truncate_from(log.first_index() + static_cast<LogIndex>(rng() % log.size()));
+      ++term;
+    } else if (roll < 95 && log.size() > 0) {
+      log.compact_to(log.base() + 1 + static_cast<LogIndex>(rng() % log.size()));
+    } else if (roll >= 95) {
+      log.reset_to(log.last_index() + static_cast<LogIndex>(rng() % 10), term);
+    }
+    ASSERT_EQ(log.approx_bytes(), recomputed()) << "after step " << step;
+  }
 }
 
 }  // namespace

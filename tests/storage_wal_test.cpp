@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -59,6 +62,24 @@ class FileWalTest : public ::testing::Test {
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::string wal_path() const { return (dir_ / "node.wal").string(); }
+
+  /// File names of the WAL's segments in the directory, sorted.
+  std::vector<std::string> wal_files() const {
+    std::vector<std::string> names;
+    for (const auto& item : std::filesystem::directory_iterator(dir_)) {
+      names.push_back(item.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  }
+
+  /// Indices of `wal`'s recovered entries, which must be contiguous.
+  static std::vector<LogIndex> indices(const FileWal& wal) {
+    std::vector<LogIndex> out;
+    for (const auto& e : wal.recovered_entries()) out.push_back(e.index);
+    return out;
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -227,6 +248,150 @@ TEST_F(FileWalTest, TruncateToEmptyThenRebuild) {
   FileWal reopened(wal_path());
   ASSERT_EQ(reopened.recovered_entries().size(), 1u);
   EXPECT_EQ(reopened.recovered_entries()[0].term, 5);
+}
+
+// --- segment rollover ----------------------------------------------------------
+
+std::vector<LogIndex> range(LogIndex from, LogIndex to) {
+  std::vector<LogIndex> out;
+  for (LogIndex i = from; i <= to; ++i) out.push_back(i);
+  return out;
+}
+
+TEST_F(FileWalTest, NeverCompactedWalStaysOneFile) {
+  {
+    FileWal wal(wal_path());
+    for (LogIndex i = 1; i <= 50; ++i) wal.append(entry(1, i));
+    wal.truncate_from(40);
+    wal.sync();
+  }
+  FileWal reopened(wal_path());
+  EXPECT_EQ(wal_files(), std::vector<std::string>{"node.wal"});
+  EXPECT_EQ(indices(reopened), range(1, 39));
+}
+
+TEST_F(FileWalTest, CompactRollsSegmentsAndUnlinksCoveredOnes) {
+  {
+    FileWal wal(wal_path());
+    for (LogIndex i = 1; i <= 10; ++i) wal.append(entry(1, i));
+    wal.compact_to(5);
+    // Entries 6..10 still live in node.wal, so it stays.
+    EXPECT_EQ(wal_files(), (std::vector<std::string>{"node.wal", "node.wal.00000001"}));
+    for (LogIndex i = 11; i <= 20; ++i) wal.append(entry(1, i));
+    wal.compact_to(15);
+    // node.wal holds only indices <= 15 now; segment 1 reaches 20.
+    EXPECT_EQ(wal_files(), (std::vector<std::string>{"node.wal.00000001", "node.wal.00000002"}));
+    for (LogIndex i = 21; i <= 25; ++i) wal.append(entry(2, i));
+    wal.sync();
+  }
+  {
+    // Replay starts at segment 1, whose appends begin at 11 above its
+    // compact record at 5: the unlinked file held 6..10, and the later
+    // compact record at 15 covers them.
+    FileWal reopened(wal_path());
+    EXPECT_EQ(reopened.recovered_base(), 15);
+    EXPECT_EQ(indices(reopened), range(16, 25));
+    reopened.append(entry(2, 26));
+    // A compaction beyond the tail (an installed snapshot) covers everything.
+    reopened.compact_to(30);
+    EXPECT_EQ(wal_files(), std::vector<std::string>{"node.wal.00000003"});
+    reopened.append(entry(3, 31));
+    reopened.sync();
+  }
+  FileWal again(wal_path());
+  EXPECT_EQ(again.recovered_base(), 30);
+  EXPECT_EQ(indices(again), range(31, 31));
+  EXPECT_EQ(again.recovered_entries()[0].term, 3);
+}
+
+TEST_F(FileWalTest, CompactWithinOpenSegmentKeepsTruncatedSuffixRules) {
+  {
+    FileWal wal(wal_path());
+    for (LogIndex i = 1; i <= 12; ++i) wal.append(entry(1, i));
+    wal.compact_to(6);
+    wal.truncate_from(10);  // divergence past the snapshot, recorded in segment 1
+    wal.append(entry(2, 10));
+    wal.sync();
+  }
+  FileWal reopened(wal_path());
+  EXPECT_EQ(reopened.recovered_base(), 6);
+  EXPECT_EQ(indices(reopened), range(7, 10));
+  EXPECT_EQ(reopened.recovered_entries().back().term, 2);
+}
+
+TEST_F(FileWalTest, TruncateBelowTheFirstSurvivingAppendStillReplays) {
+  // Segment 1 starts appending at 11 (its predecessor held 5..10), then a
+  // new leader truncates from 8 — into the predecessor — and rewrites. Once
+  // the predecessor is unlinked, replay meets that truncate below the first
+  // append it has seen; it must not mistake it for a corrupt record.
+  {
+    FileWal wal(wal_path());
+    for (LogIndex i = 1; i <= 10; ++i) wal.append(entry(1, i));
+    wal.compact_to(4);
+    wal.append(entry(1, 11));
+    wal.append(entry(1, 12));
+    wal.truncate_from(8);
+    for (LogIndex i = 8; i <= 14; ++i) wal.append(entry(2, i));
+    wal.compact_to(12);
+    EXPECT_EQ(wal_files(), (std::vector<std::string>{"node.wal.00000001", "node.wal.00000002"}));
+    wal.append(entry(2, 15));
+    wal.sync();
+  }
+  FileWal reopened(wal_path());
+  EXPECT_EQ(reopened.recovered_base(), 12);
+  EXPECT_EQ(indices(reopened), range(13, 15));
+  for (const auto& e : reopened.recovered_entries()) EXPECT_EQ(e.term, 2);
+  EXPECT_EQ(wal_files().size(), 2u);
+}
+
+TEST_F(FileWalTest, CorruptOlderSegmentDropsEveryLaterSegment) {
+  {
+    FileWal wal(wal_path());
+    for (LogIndex i = 1; i <= 10; ++i) wal.append(entry(1, i));
+    wal.compact_to(5);
+    for (LogIndex i = 11; i <= 20; ++i) wal.append(entry(1, i));
+    wal.compact_to(8);  // node.wal still reaches 10: nothing unlinked
+    for (LogIndex i = 21; i <= 22; ++i) wal.append(entry(1, i));
+    wal.sync();
+  }
+  ASSERT_EQ(wal_files().size(), 3u);
+  const std::string middle = (dir_ / "node.wal.00000001").string();
+  const auto size = std::filesystem::file_size(middle);
+  {
+    std::fstream f(middle, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<long>(size / 2));
+    const char b = 0x5A;
+    f.write(&b, 1);
+  }
+  std::vector<LogIndex> first;
+  {
+    FileWal reopened(wal_path());
+    // Segment 2 followed the corrupt record: replaying it next time would
+    // resurrect a suffix this open dropped, so it is gone.
+    EXPECT_EQ(wal_files(), (std::vector<std::string>{"node.wal", "node.wal.00000001"}));
+    EXPECT_EQ(reopened.recovered_base(), 5);
+    first = indices(reopened);
+    ASSERT_FALSE(first.empty());
+    EXPECT_LT(first.back(), 20);
+    EXPECT_EQ(first, range(6, first.back()));
+  }
+  FileWal again(wal_path());
+  EXPECT_EQ(indices(again), first);
+}
+
+TEST_F(FileWalTest, ForwardGapRebasesOntoTheGap) {
+  // A node installed a snapshot through 8, the crash lost the compact
+  // record, and the restarted node appended above the snapshot.
+  {
+    FileWal wal(wal_path());
+    for (LogIndex i = 1; i <= 3; ++i) wal.append(entry(1, i));
+    wal.append(entry(4, 9));
+    wal.append(entry(4, 10));
+    wal.sync();
+  }
+  FileWal reopened(wal_path());
+  EXPECT_EQ(reopened.recovered_base(), 8);
+  EXPECT_EQ(indices(reopened), range(9, 10));
 }
 
 }  // namespace
