@@ -5,10 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include "core/escape_policy.h"
+#include "raft/log.h"
 #include "rpc/messages.h"
 #include "rpc/wire.h"
 #include "sim/event_loop.h"
-#include "storage/log.h"
 
 namespace {
 
@@ -83,7 +83,7 @@ BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 16);
 
 void BM_LogAppendTruncate(benchmark::State& state) {
   for (auto _ : state) {
-    storage::Log log;
+    raft::Log log;
     for (LogIndex i = 1; i <= state.range(0); ++i) {
       rpc::LogEntry e;
       e.term = 1;
@@ -98,7 +98,7 @@ void BM_LogAppendTruncate(benchmark::State& state) {
 BENCHMARK(BM_LogAppendTruncate)->Arg(256)->Arg(4096);
 
 void BM_LogSlice(benchmark::State& state) {
-  storage::Log log;
+  raft::Log log;
   for (LogIndex i = 1; i <= 8192; ++i) {
     rpc::LogEntry e;
     e.term = 1;

@@ -1,8 +1,10 @@
 #include "net/event_loop.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -19,10 +21,10 @@
 namespace escape::net {
 namespace {
 
-// epoll_event.data.u64 tags for the two non-connection fds; connection ids
-// start at 2 (see next_id_).
+// epoll_event.data.u64 tags: 0 is the wake fd, kListenerTag | service a
+// listener; connection ids count up from 1 (see next_id_).
 constexpr std::uint64_t kWakeTag = 0;
-constexpr std::uint64_t kListenerTag = 1;
+constexpr std::uint64_t kListenerTag = std::uint64_t{1} << 63;
 
 constexpr std::size_t kFrameHeaderBytes = 2 + 1 + 1 + 4 + 4;
 
@@ -157,8 +159,8 @@ void ByteRing::consume(std::size_t n) {
 
 // --- EventLoop ---------------------------------------------------------------
 
-EventLoop::EventLoop(Handler handler, Options options)
-    : handler_(std::move(handler)), options_(options) {
+EventLoop::EventLoop(Handler handler, Options options) {
+  add_service(std::move(handler), options);
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) throw std::runtime_error("epoll_create1() failed");
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
@@ -184,23 +186,35 @@ void EventLoop::register_fd(int fd, std::uint64_t tag) {
   }
 }
 
-void EventLoop::apply_socket_options(int fd) const {
-  if (options_.sndbuf > 0) {
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.sndbuf, sizeof(options_.sndbuf));
+void EventLoop::apply_socket_options(int fd, const Options& options) {
+  if (options.sndbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options.sndbuf, sizeof(options.sndbuf));
   }
-  if (options_.rcvbuf > 0) {
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &options_.rcvbuf, sizeof(options_.rcvbuf));
+  if (options.rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &options.rcvbuf, sizeof(options.rcvbuf));
   }
 }
 
-void EventLoop::listen(BoundListener listener) {
-  if (listen_fd_ >= 0) throw std::logic_error("EventLoop already listening");
-  if (listener.fd < 0) listener = bind_loopback_listener(listener.port);
-  apply_socket_options(listener.fd);
-  listen_fd_ = listener.fd;
-  listen_port_ = listener.port;
-  register_fd(listen_fd_, kListenerTag);
+EventLoop::ServiceId EventLoop::add_service(Handler handler, Options options) {
+  if (running_.load()) throw std::logic_error("EventLoop::add_service() after start()");
+  auto service = std::make_unique<Service>();
+  service->handler = std::move(handler);
+  service->options = options;
+  services_.push_back(std::move(service));
+  return services_.size() - 1;
 }
+
+void EventLoop::listen(BoundListener listener, ServiceId id) {
+  Service& service = *services_.at(id);
+  if (service.listen_fd >= 0) throw std::logic_error("EventLoop service already listening");
+  if (listener.fd < 0) listener = bind_loopback_listener(listener.port);
+  apply_socket_options(listener.fd, service.options);
+  service.listen_fd = listener.fd;
+  service.listen_port = listener.port;
+  register_fd(listener.fd, kListenerTag | id);
+}
+
+void EventLoop::set_tick(std::function<Duration()> tick) { tick_ = std::move(tick); }
 
 void EventLoop::start() {
   running_.store(true);
@@ -219,8 +233,10 @@ void EventLoop::stop() {
   }
   conns_.clear();
   flush_queue_.clear();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listen_fd_ = -1;
+  for (auto& service : services_) {
+    if (service->listen_fd >= 0) ::close(service->listen_fd);
+    service->listen_fd = -1;
+  }
   if (wake_fd_ >= 0) ::close(wake_fd_);
   wake_fd_ = -1;
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
@@ -235,9 +251,10 @@ void EventLoop::wake() {
 EventLoop::ConnId EventLoop::connect(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return 0;
+  Service* service = services_.front().get();
   set_nonblocking(fd);
   set_nodelay(fd);
-  apply_socket_options(fd);
+  apply_socket_options(fd, service->options);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -250,6 +267,7 @@ EventLoop::ConnId EventLoop::connect(std::uint16_t port) {
   auto conn = std::make_unique<Conn>();
   conn->fd = fd;
   conn->id = next_id_.fetch_add(1);
+  conn->service = service;
   conn->inbound = false;
   // Even an instantly-successful loopback connect() goes through the
   // "connecting" state: registering with EPOLLET reports current readiness
@@ -269,7 +287,7 @@ EventLoop::ConnId EventLoop::connect(std::uint16_t port) {
     ::close(fd);
     return 0;
   }
-  stats_.connected.fetch_add(1, std::memory_order_relaxed);
+  service->stats.connected.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
 
@@ -279,11 +297,12 @@ EventLoop::SendResult EventLoop::send(ConnId id, const std::vector<std::uint8_t>
     std::lock_guard lock(mu_);
     Conn* conn = find_locked(id);
     if (!conn || conn->doomed.load(std::memory_order_relaxed)) return SendResult::kClosed;
-    if (conn->out.size() + frame.size() > options_.max_outbuf_bytes) {
-      if (options_.evict_on_overflow) {
+    const Options& options = conn->service->options;
+    if (conn->out.size() + frame.size() > options.max_outbuf_bytes) {
+      if (options.evict_on_overflow) {
         // Slow client: its output ring is full because it stopped reading.
         // Cut it loose rather than let it pin server memory.
-        stats_.evicted_slow.fetch_add(1, std::memory_order_relaxed);
+        conn->service->stats.evicted_slow.fetch_add(1, std::memory_order_relaxed);
         conn->doomed.store(true, std::memory_order_relaxed);
         if (!conn->want_flush) {
           conn->want_flush = true;
@@ -295,7 +314,7 @@ EventLoop::SendResult EventLoop::send(ConnId id, const std::vector<std::uint8_t>
       return SendResult::kOverflow;
     }
     conn->out.append(frame.data(), frame.size());
-    stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
+    conn->service->stats.frames_out.fetch_add(1, std::memory_order_relaxed);
     if (!conn->want_flush) {
       conn->want_flush = true;
       flush_queue_.push_back(id);
@@ -340,9 +359,9 @@ EventLoop::Conn* EventLoop::find_locked(ConnId id) {
   return it == conns_.end() ? nullptr : it->second.get();
 }
 
-void EventLoop::accept_ready() {
+void EventLoop::accept_ready(Service* service) {
   for (;;) {
-    const int fd = testhooks::accept_fn(listen_fd_, nullptr, nullptr);
+    const int fd = testhooks::accept_fn(service->listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;  // signal mid-accept; connection still queued
       if (errno != EAGAIN && errno != EWOULDBLOCK) {
@@ -352,10 +371,11 @@ void EventLoop::accept_ready() {
     }
     set_nonblocking(fd);
     set_nodelay(fd);
-    apply_socket_options(fd);
+    apply_socket_options(fd, service->options);
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
     conn->id = next_id_.fetch_add(1);
+    conn->service = service;
     conn->inbound = true;
     const ConnId id = conn->id;
     {
@@ -370,19 +390,20 @@ void EventLoop::accept_ready() {
       ::close(fd);
       continue;
     }
-    stats_.accepted.fetch_add(1, std::memory_order_relaxed);
-    if (handler_.on_open) handler_.on_open(id, true);
+    service->stats.accepted.fetch_add(1, std::memory_order_relaxed);
+    if (service->handler.on_open) service->handler.on_open(id, true);
   }
 }
 
 void EventLoop::read_ready(Conn* conn) {
+  Service& service = *conn->service;
   bool peer_closed = false;
   for (;;) {
-    auto [buf, cap] = conn->in.tail_span(options_.read_chunk);
+    auto [buf, cap] = conn->in.tail_span(service.options.read_chunk);
     const ssize_t n = testhooks::recv_fn(conn->fd, buf, cap, 0);
     if (n > 0) {
       conn->in.produce(static_cast<std::size_t>(n));
-      stats_.bytes_in.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
+      service.stats.bytes_in.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
     } else if (n == 0) {
       peer_closed = true;  // orderly shutdown; deliver what already arrived
       break;
@@ -397,14 +418,14 @@ void EventLoop::read_ready(Conn* conn) {
   }
   std::vector<std::vector<std::uint8_t>> frames;
   if (!parse_frames(conn->in, frames)) {
-    stats_.decode_errors.fetch_add(1, std::memory_order_relaxed);
+    service.stats.decode_errors.fetch_add(1, std::memory_order_relaxed);
     LOG_WARN("event loop: closing connection " << conn->id << " after frame decode error");
     teardown(conn, true);
     return;
   }
   if (!frames.empty()) {
-    stats_.frames_in.fetch_add(frames.size(), std::memory_order_relaxed);
-    if (handler_.on_frames) handler_.on_frames(conn->id, std::move(frames));
+    service.stats.frames_in.fetch_add(frames.size(), std::memory_order_relaxed);
+    if (service.handler.on_frames) service.handler.on_frames(conn->id, std::move(frames));
   }
   if (peer_closed) teardown(conn, true);
 }
@@ -417,10 +438,16 @@ void EventLoop::flush_conn(Conn* conn) {
     const ssize_t n = testhooks::send_fn(conn->fd, data, len, MSG_NOSIGNAL);
     if (n > 0) {
       conn->out.consume(static_cast<std::size_t>(n));
-      stats_.bytes_out.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
+      conn->service->stats.bytes_out.fetch_add(static_cast<std::uint64_t>(n),
+                                               std::memory_order_relaxed);
     } else if (n == 0) {
       // No bytes accepted but no error either; errno is stale here and must
-      // not be consulted. Retry on the next writability edge.
+      // not be consulted. The socket did not report itself full, so no
+      // writability edge is coming: queue a retry for the next iteration and
+      // make sure that iteration runs.
+      conn->want_flush = true;
+      flush_queue_.push_back(conn->id);
+      wake();
       break;
     } else if (errno == EINTR) {
       continue;  // signal mid-send; the connection is fine
@@ -434,7 +461,7 @@ void EventLoop::flush_conn(Conn* conn) {
   }
 }
 
-void EventLoop::flush_pending() {
+void EventLoop::flush() {
   std::vector<ConnId> queue;
   {
     std::lock_guard lock(mu_);
@@ -466,20 +493,28 @@ void EventLoop::teardown(Conn* conn, bool deliver_close) {
   }
   ::close(owned->fd);
   owned->fd = -1;
-  stats_.closed.fetch_add(1, std::memory_order_relaxed);
-  if (deliver_close && handler_.on_close) handler_.on_close(owned->id);
+  owned->service->stats.closed.fetch_add(1, std::memory_order_relaxed);
+  if (deliver_close && owned->service->handler.on_close) {
+    owned->service->handler.on_close(owned->id);
+  }
+}
+
+int EventLoop::run_tick() {
+  constexpr Duration kMaxSleep = from_ms(100);  // bounds shutdown on a quiet loop
+  const Duration sleep = tick_ ? std::clamp<Duration>(tick_(), 0, kMaxSleep) : kMaxSleep;
+  // Round up: waking before the deadline would only spin until it passes.
+  return static_cast<int>((sleep + 999) / 1000);
 }
 
 void EventLoop::run() {
   loop_tid_.store(std::this_thread::get_id());
   std::vector<epoll_event> events(256);
+  int timeout_ms = run_tick();
+  flush();
   while (running_.load()) {
     const int n = ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
-                               100);  // bounded: shutdown cannot hang on a quiet loop
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
+                               timeout_ms);
+    if (n < 0 && errno != EINTR) break;
     if (!running_.load()) break;
     for (int i = 0; i < n; ++i) {
       const std::uint64_t tag = events[i].data.u64;
@@ -488,11 +523,12 @@ void EventLoop::run() {
         std::uint64_t drain;
         while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
         }
-        stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      if (tag == kListenerTag) {
-        accept_ready();
+      if (tag & kListenerTag) {
+        Service* service = services_[tag & ~kListenerTag].get();
+        service->served = true;
+        accept_ready(service);
         continue;
       }
       Conn* conn;
@@ -501,6 +537,8 @@ void EventLoop::run() {
         conn = find_locked(tag);
       }
       if (!conn) continue;  // torn down earlier this iteration
+      Service* service = conn->service;
+      service->served = true;
       if (ev & EPOLLERR) {
         teardown(conn, true);
         continue;
@@ -514,7 +552,7 @@ void EventLoop::run() {
             teardown(conn, true);
             continue;
           }
-          if (handler_.on_open) handler_.on_open(conn->id, false);
+          if (service->handler.on_open) service->handler.on_open(conn->id, false);
           // on_open may have queued frames or closed the connection.
           {
             std::lock_guard lock(mu_);
@@ -531,10 +569,17 @@ void EventLoop::run() {
       }
       if (ev & (EPOLLIN | EPOLLRDHUP | EPOLLHUP)) read_ready(conn);
     }
-    // End-of-iteration output pass: every connection send() touched this
-    // iteration — responses generated in on_frames and frames queued by
-    // other threads — flushes here, many frames per write().
-    flush_pending();
+    for (auto& service : services_) {
+      if (std::exchange(service->served, false)) {
+        service->stats.wakeups.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    // The tick runs the owner's timers and Ready drain; then the
+    // end-of-iteration output pass writes every connection send() touched
+    // this iteration — responses generated in on_frames or the tick, frames
+    // queued by other threads — many frames per write().
+    timeout_ms = run_tick();
+    flush();
   }
 }
 

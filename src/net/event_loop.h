@@ -1,14 +1,17 @@
 // Epoll-based event loop for the real-network serving path.
 //
-// One EventLoop multiplexes a listening socket plus any number of inbound
+// One EventLoop multiplexes listening sockets plus any number of inbound
 // and outbound connections on a single thread, modeled on the single-writer
 // network loop of tarantool's iproto: the loop thread is the only thread
 // that ever touches a socket, so reads, frame parsing, and writes need no
-// per-connection synchronization. Other threads interact through two
-// thread-safe entry points — send() enqueues a frame onto the connection's
-// output ring and wakes the loop via an eventfd; connect() opens a
-// nonblocking outbound connection — and the loop drains everything in
-// batches:
+// per-connection synchronization. A replica runs everything on one loop:
+// RealNode's raft transport is its first service, KvServer's client
+// listener a second one (add_service), and RealNode drives its consensus
+// core's timers and Ready drain from the loop's tick. Other threads interact
+// through thread-safe entry points — send() enqueues a frame onto the
+// connection's output ring and wakes the loop via an eventfd; connect()
+// opens a nonblocking outbound connection; wake() just wakes it — and the
+// loop drains everything in batches:
 //
 //   * edge-triggered epoll (EPOLLET): each readiness edge is drained to
 //     EAGAIN, so the kernel is consulted once per burst, not once per frame;
@@ -16,12 +19,14 @@
 //     directly in the input ring, frames are parsed off it in place (wire
 //     format identical to rpc::FrameReader), and every complete frame of a
 //     readiness burst is delivered to the owner in ONE on_frames callback —
-//     the batching seam RealNode uses to step many requests per node-lock
-//     acquisition;
-//   * deferred output flush: frames queued from the loop thread (responses)
-//     and from other threads (Ready sends) accumulate in the output rings
-//     and are written socket-by-socket at the end of the poll iteration,
-//     coalescing many small frames into few write() calls;
+//     the batching seam RealNode uses to step a whole burst into its core;
+//   * deferred output flush: frames queued during an iteration accumulate in
+//     the output rings and are written socket-by-socket at the end of the
+//     iteration (or earlier, when the loop thread calls flush()), coalescing
+//     many small frames into few write() calls;
+//   * services: each class of connections (raft peers, KV clients) has its
+//     own handler, output policy and stats; a connection belongs to the
+//     service of the listener that accepted it (outbound: service 0);
 //   * backpressure: each output ring is bounded. When a frame would
 //     overflow the bound the loop either evicts the connection (serving
 //     mode: a client that stops reading cannot pin server memory; counted
@@ -44,6 +49,8 @@
 
 #include <sys/socket.h>
 #include <sys/types.h>
+
+#include "common/types.h"
 
 namespace escape::net {
 
@@ -117,7 +124,7 @@ class ByteRing {
   std::size_t size_ = 0;
 };
 
-/// Loop-wide statistics for tests, benches and diagnostics.
+/// Per-service statistics for tests, benches and diagnostics.
 struct EventLoopStats {
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> connected{0};
@@ -128,6 +135,7 @@ struct EventLoopStats {
   std::atomic<std::uint64_t> bytes_out{0};
   std::atomic<std::uint64_t> evicted_slow{0};  ///< slow-client evictions
   std::atomic<std::uint64_t> decode_errors{0};
+  /// Loop iterations that handled at least one event of this service.
   std::atomic<std::uint64_t> wakeups{0};
 };
 
@@ -137,12 +145,17 @@ class EventLoop {
   /// reused, so a stale id held by another thread can at worst miss.
   using ConnId = std::uint64_t;
 
+  /// One class of connections on the loop (see add_service); the
+  /// constructor's handler and options form service 0.
+  using ServiceId = std::size_t;
+
   enum class SendResult : std::uint8_t {
     kOk = 0,
     kOverflow = 1,  ///< output bound exceeded; frame rejected (or conn evicted)
     kClosed = 2,    ///< no such connection
   };
 
+  /// Per-service socket and output policy.
   struct Options {
     /// When > 0, sets SO_SNDBUF / SO_RCVBUF on every socket (tests use tiny
     /// buffers to force partial transfers); 0 keeps the kernel defaults.
@@ -161,8 +174,8 @@ class EventLoop {
     std::size_t read_chunk = 1u << 16;
   };
 
-  /// Callbacks, all invoked on the loop thread; they must not block. They
-  /// may call send()/close()/connect() freely.
+  /// Per-service callbacks, all invoked on the loop thread; they must not
+  /// block. They may call send()/close()/connect() freely.
   struct Handler {
     /// New connection: accepted (inbound=true) or established outbound.
     std::function<void(ConnId, bool inbound)> on_open;
@@ -181,13 +194,26 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Adopts an already-bound listener (see bind_loopback_listener) or, when
-  /// `listener.fd < 0`, binds 127.0.0.1:`listener.port`. Call before
-  /// start(); optional — a client-only loop never listens.
-  void listen(BoundListener listener);
+  /// Adds another class of connections served by this loop's thread, with
+  /// its own handler, options and stats. Call before start().
+  ServiceId add_service(Handler handler, Options options);
 
-  /// Port the adopted listener is bound to (0 when not listening).
-  std::uint16_t port() const { return listen_port_; }
+  /// Adopts an already-bound listener (see bind_loopback_listener) or, when
+  /// `listener.fd < 0`, binds 127.0.0.1:`listener.port`, for `service`;
+  /// accepted connections belong to that service. Call before start(), at
+  /// most once per service; optional — a client-only loop never listens.
+  void listen(BoundListener listener, ServiceId service = 0);
+
+  /// Port `service`'s listener is bound to (0 when not listening).
+  std::uint16_t port(ServiceId service = 0) const { return services_.at(service)->listen_port; }
+
+  /// Installs the loop's tick: called on the loop thread once per
+  /// iteration, after the iteration's events and before its output flush,
+  /// and again when the previous call's returned duration (microseconds,
+  /// rounded up to the next millisecond, at most 100 ms) has elapsed.
+  /// Without a tick the loop sleeps until an event (at most 100 ms). Call
+  /// before start().
+  void set_tick(std::function<Duration()> tick);
 
   /// Launches the loop thread.
   void start();
@@ -196,10 +222,10 @@ class EventLoop {
   /// not invoked for the teardown.
   void stop();
 
-  /// Opens a nonblocking outbound connection to 127.0.0.1:`port`.
-  /// Thread-safe; usable before or after start(). Returns 0 on immediate
-  /// failure (socket exhaustion). The connection is usable for send() at
-  /// once — frames queue until the connect completes.
+  /// Opens a nonblocking outbound connection to 127.0.0.1:`port`, owned by
+  /// service 0. Thread-safe; usable before or after start(). Returns 0 on
+  /// immediate failure (socket exhaustion). The connection is usable for
+  /// send() at once — frames queue until the connect completes.
   ConnId connect(std::uint16_t port);
 
   /// Queues one framed buffer on `conn`'s output ring and wakes the loop.
@@ -210,21 +236,41 @@ class EventLoop {
   /// on the loop thread.
   void close(ConnId conn);
 
+  /// Wakes the loop so it runs an iteration (and its tick) now.
+  /// Thread-safe.
+  void wake();
+
+  /// Writes every queued frame to its socket now instead of at the end of
+  /// the iteration. Loop thread only.
+  void flush();
+
   /// Bytes currently queued on `conn`'s output ring (flow-control probes).
   std::size_t outbuf_bytes(ConnId conn) const;
 
   /// Live connection count (listener and wake fd excluded).
   std::size_t connection_count() const;
 
-  const EventLoopStats& stats() const { return stats_; }
+  const EventLoopStats& stats(ServiceId service = 0) const {
+    return services_.at(service)->stats;
+  }
 
   /// True when called from the loop thread (callback context).
   bool on_loop_thread() const { return std::this_thread::get_id() == loop_tid_.load(); }
 
  private:
+  struct Service {
+    Handler handler;
+    Options options;
+    EventLoopStats stats;
+    int listen_fd = -1;
+    std::uint16_t listen_port = 0;
+    bool served = false;  ///< loop thread: had an event this iteration
+  };
+
   struct Conn {
     int fd = -1;
     ConnId id = 0;
+    Service* service = nullptr;
     bool inbound = false;
     std::atomic<bool> connecting{false};  ///< nonblocking connect() still in flight
     bool want_flush = false;              ///< queued output since the last flush pass (mu_)
@@ -234,33 +280,31 @@ class EventLoop {
   };
 
   void run();
-  void accept_ready();
+  void accept_ready(Service* service);
   void read_ready(Conn* conn);
   void flush_conn(Conn* conn);
-  void flush_pending();
   void teardown(Conn* conn, bool deliver_close);
   Conn* find_locked(ConnId id);
-  void wake();
-  void apply_socket_options(int fd) const;
+  static void apply_socket_options(int fd, const Options& options);
   void register_fd(int fd, std::uint64_t tag);
+  /// Milliseconds the next epoll_wait may sleep (runs the tick).
+  int run_tick();
 
-  Handler handler_;
-  const Options options_;
+  /// Fixed before start(); service 0 first.
+  std::vector<std::unique_ptr<Service>> services_;
+  std::function<Duration()> tick_;
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
-  int listen_fd_ = -1;
-  std::uint16_t listen_port_ = 0;
 
   mutable std::mutex mu_;  // guards conns_, flush_queue_, every Conn::out
   std::map<ConnId, std::unique_ptr<Conn>> conns_;
   std::vector<ConnId> flush_queue_;
-  std::atomic<ConnId> next_id_{2};  // 0 = wake tag, 1 = listener tag
+  std::atomic<ConnId> next_id_{1};  // 0 is the wake fd's tag
 
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<std::thread::id> loop_tid_{};
-  EventLoopStats stats_;
 };
 
 }  // namespace escape::net

@@ -1,41 +1,49 @@
-// Real-time runtime: one consensus server over TCP and steady_clock.
+// Real-time runtime: one consensus server over TCP and steady_clock, on one
+// thread.
 //
-// RealNode wires a RaftNode core to a TcpTransport and a driver thread.
-// Inbound messages land in a mailbox from the transport's poll thread; the
-// driver thread drains the mailbox and fires due timers under the node lock,
-// then consumes the resulting Ready batches through a RealDriver —
-// persistence under the lock, transport sends / applies / read grants
-// flushed outside it — so the consensus core itself stays single-threaded
-// and performs no I/O, exactly as in the simulator.
+// A RealNode runs a Replica — the core, its durable stores and the
+// NodeDriver that executes its Ready batches — on its TcpTransport's event
+// loop, the shape tarantool's raft_ev gives its core:
 //
-// Compaction: once a drain has handed every committed entry to the apply
-// hook, the driver thread compares the retained log with the latest
-// snapshot. When log().approx_bytes() reaches
+//   * inbound: every message of a readiness burst is stepped straight into
+//     the core from the transport's deliver callback;
+//   * timers: the loop's tick fires due timers, drains, and lets the loop
+//     sleep until the core's next deadline;
+//   * drain: batches execute through raft::NodeDriver with immediate hooks,
+//     exactly as in the simulator. Each batch's messages are written to
+//     their sockets before the next batch's WAL sync, so followers persist
+//     batch N while the leader syncs batch N+1.
+//
+// The loop thread is the only thread that drives the core. The public API
+// stays thread-safe: other threads submit and read state under the node
+// lock, and an off-loop submit only wakes the loop. Hooks run on the loop
+// thread with the node lock held, so they must not call back into the
+// RealNode.
+//
+// Compaction: after each drain the replica compares the retained log with
+// the latest snapshot. When log().approx_bytes() reaches
 // max(kCompactionRatio x snapshot bytes, kMinCompactionBytes), it asks the
 // snapshot hook for the state machine and calls RaftNode::compact at the
-// last index handed to the hooks; the next drain persists the snapshot and
-// rolls the WAL. Memory, WAL size and restart time then follow the state,
-// not the history.
+// last index handed to the hooks, then drains the snapshot save and the WAL
+// rollover. Memory, WAL size and restart time then follow the state, not
+// the history.
 //
 // This is the deployment path a downstream user runs on a real cluster, and
 // the one perfbench and fig16 measure; fig09–fig15 use the simulator instead
 // (determinism and virtual time).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "common/clock.h"
-#include "net/real_driver.h"
 #include "net/tcp_transport.h"
+#include "raft/driver.h"
 #include "raft/raft_node.h"
 #include "storage/snapshot_store.h"
 #include "storage/state_store.h"
@@ -47,7 +55,24 @@ namespace escape::net {
 using PolicyFactory =
     std::function<std::unique_ptr<raft::ElectionPolicy>(ServerId id, std::size_t cluster_size)>;
 
-class RealNode {
+/// A replica's durable identity.
+struct Stores {
+  std::unique_ptr<storage::StateStore> state;
+  std::unique_ptr<storage::Wal> wal;
+  std::unique_ptr<storage::SnapshotStore> snapshots;
+};
+
+/// Volatile in-memory stores when `data_dir` is empty; otherwise
+/// `<data_dir>/S<id>.state`, `<data_dir>/S<id>.snap` and the WAL
+/// `<data_dir>/S<id>.wal` plus its rolled segments `S<id>.wal.<seq>`.
+Stores open_stores(ServerId id, const std::string& data_dir);
+
+/// What a RealNode runs on its loop thread, with no sockets, threads or
+/// clock of its own: a core recovered from durable stores, the NodeDriver
+/// that executes its Ready batches with immediate hooks, and compaction.
+/// Single-threaded. driver_conformance_test drives one on virtual time with
+/// a fake send sink.
+class Replica {
  public:
   /// Compact when the retained log reaches this multiple of the latest
   /// snapshot's state (LogCabin's default ratio)...
@@ -56,14 +81,46 @@ class RealNode {
   /// snapshot on every few entries.
   static constexpr std::size_t kMinCompactionBytes = 64 * 1024;
 
+  /// Recovers the core from `stores`, which must outlive the replica.
+  Replica(ServerId id, const std::vector<ServerId>& members,
+          std::unique_ptr<raft::ElectionPolicy> policy, Rng rng,
+          const raft::NodeOptions& options, Stores& stores);
+
+  /// Environment hooks (send, restore, apply, read). Set before start().
+  raft::NodeDriver::Hooks& hooks() { return driver_.hooks(); }
+
+  /// Serializes the application state machine for a compaction: it must
+  /// return the state after exactly the entries the apply hook has seen.
+  /// Unset: the replica never compacts its own log. Set before start().
+  void set_snapshot_hook(std::function<std::vector<std::uint8_t>()> hook) {
+    snapshot_hook_ = std::move(hook);
+  }
+
+  /// Hands a stored snapshot (if the stores held one) to the restore hook,
+  /// then starts the core.
+  void start(TimePoint now);
+
+  /// Drains every pending Ready batch, then compacts when the retained log
+  /// outgrew the latest snapshot and drains the compaction too.
+  void pump(TimePoint now);
+
+  raft::RaftNode& node() { return node_; }
+  const raft::RaftNode& node() const { return node_; }
+
+ private:
+  raft::NodeDriver driver_;
+  raft::RaftNode node_;
+  std::function<std::vector<std::uint8_t>()> snapshot_hook_;
+};
+
+class RealNode {
+ public:
   struct Options {
     Options() { node.commit_noop_on_elect = true; }  // production semantics
 
     raft::NodeOptions node;
-    /// When non-empty, durable state lives in `<data_dir>/S<id>.state`,
-    /// `<data_dir>/S<id>.snap` and the WAL `<data_dir>/S<id>.wal` plus its
-    /// rolled segments `S<id>.wal.<seq>`; otherwise volatile in-memory
-    /// stores are used.
+    /// Where durable state lives (see open_stores); empty: volatile
+    /// in-memory stores.
     std::string data_dir;
     std::uint64_t seed = 1;
     /// Pre-bound listening socket to adopt (port-0 path; see
@@ -76,15 +133,20 @@ class RealNode {
   RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints, PolicyFactory policy,
            Options options);
   RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints, PolicyFactory policy);
+  /// As above, over caller-supplied stores instead of options.data_dir.
+  RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints, PolicyFactory policy,
+           Options options, Stores stores);
   ~RealNode();
 
   RealNode(const RealNode&) = delete;
   RealNode& operator=(const RealNode&) = delete;
 
-  /// Binds the transport and launches the driver thread.
+  /// Starts the core (after the restore hook rebuilt the state machine from
+  /// a stored snapshot), then binds the transport and launches the loop
+  /// thread.
   void start();
 
-  /// Stops the driver thread and transport. Idempotent.
+  /// Stops the loop thread and transport. Idempotent.
   void stop();
 
   /// Thread-safe command submission (leader only; nullopt otherwise).
@@ -92,27 +154,25 @@ class RealNode {
 
   /// Thread-safe linearizable-read submission (leader only; nullopt
   /// otherwise — redirect via leader_hint()). The completion arrives on the
-  /// driver thread through the read hook, after every committed entry up to
+  /// loop thread through the read hook, after every committed entry up to
   /// the grant's read index was handed to the apply hook; an `ok` grant
   /// therefore licenses serving the read from the local state machine.
   std::optional<raft::ReadId> submit_read();
 
-  /// Hook invoked (on the driver thread) for every committed entry.
+  // Hooks run on the loop thread; set them before start().
+
+  /// Invoked for every committed entry.
   void set_apply_hook(std::function<void(const rpc::LogEntry&)> hook);
 
-  /// Hook invoked (on the driver thread) for every read grant/rejection.
+  /// Invoked for every read grant/rejection.
   void set_read_hook(std::function<void(const raft::ReadGrant&)> hook);
 
-  /// Hook invoked (on the driver thread) when a leader snapshot supersedes
-  /// this node's log — rebuild the application state machine from it before
-  /// the next apply. Also fired from start() when the node boots from a
-  /// stored snapshot (set the hook before start()).
+  /// Invoked when a leader snapshot supersedes this node's log — rebuild the
+  /// application state machine from it before the next apply. Also fired
+  /// from start() when the node boots from a stored snapshot.
   void set_restore_hook(std::function<void(const raft::Snapshot&)> hook);
 
-  /// Hook invoked (on the driver thread, between drains) to serialize the
-  /// application state machine for a compaction: it must return the state
-  /// after exactly the entries the apply hook has seen. Unset: the node
-  /// never compacts its own log.
+  /// See Replica::set_snapshot_hook.
   void set_snapshot_hook(std::function<std::vector<std::uint8_t>()> hook);
 
   // Thread-safe snapshots of node state.
@@ -127,37 +187,24 @@ class RealNode {
   /// Meaningful after start().
   std::uint16_t listen_port() const;
 
+  /// The node's event loop (KvServer adds its client service to it).
+  EventLoop& loop() { return transport_.loop(); }
+  const EventLoop& loop() const { return transport_.loop(); }
+
  private:
-  void run_loop();
-  /// Compacts through `applied` (the last index handed to the apply or
-  /// restore hook) when the retained log crossed the threshold.
-  void maybe_compact(LogIndex applied);
+  /// The loop's tick: fires due timers, drains, returns the time until the
+  /// core's next deadline.
+  Duration tick();
+  /// Wakes the loop unless called on it (its tick runs after this
+  /// iteration's events anyway).
+  void wake();
 
   const ServerId id_;
-  Options options_;
   SteadyClock clock_;
-
-  std::unique_ptr<storage::StateStore> store_;
-  std::unique_ptr<storage::Wal> wal_;
-  std::unique_ptr<storage::SnapshotStore> snaps_;
-  std::unique_ptr<RealDriver> driver_io_;    // guarded by mu_
-  std::unique_ptr<raft::RaftNode> node_;     // guarded by mu_
-  std::shared_ptr<const raft::Snapshot> boot_snapshot_;  ///< replayed in start()
-  std::unique_ptr<TcpTransport> transport_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<rpc::Envelope> mailbox_;
-  std::function<void(const rpc::LogEntry&)> apply_hook_;
-  std::function<void(const raft::ReadGrant&)> read_hook_;
-  std::function<void(const raft::Snapshot&)> restore_hook_;
-  std::function<std::vector<std::uint8_t>()> snapshot_hook_;
-  /// State size of the latest snapshot (boot, installed or taken); driver
-  /// thread only.
-  std::size_t snapshot_bytes_ = 0;
-
-  std::thread driver_;
-  std::atomic<bool> running_{false};
+  Stores stores_;
+  mutable std::mutex mu_;  // guards replica_: the loop thread vs API callers
+  Replica replica_;
+  TcpTransport transport_;  // last: its loop thread uses every member above
 };
 
 }  // namespace escape::net

@@ -45,10 +45,6 @@ TcpTransport::TcpTransport(ServerId self, std::map<ServerId, std::uint16_t> endp
 
 TcpTransport::~TcpTransport() { stop(); }
 
-void TcpTransport::set_deliver_batch(DeliverBatchFn deliver_batch) {
-  deliver_batch_ = std::move(deliver_batch);
-}
-
 void TcpTransport::start() {
   BoundListener listener{options_.listen_fd, endpoints_.at(self_)};
   if (listener.fd < 0) listener = bind_loopback_listener(listener.port);
@@ -134,15 +130,9 @@ void TcpTransport::on_frames(EventLoop::ConnId conn,
     corrupt = true;
   }
   stats_.received.fetch_add(batch.size(), std::memory_order_relaxed);
-  // Frames decoded before the corrupt one still deliver, matching the
-  // stream-prefix semantics of the old per-frame path.
-  if (!batch.empty()) {
-    if (deliver_batch_) {
-      deliver_batch_(std::move(batch));
-    } else if (deliver_) {
-      for (const auto& env : batch) deliver_(env);
-    }
-  }
+  // Frames decoded before the corrupt one still deliver: the stream's
+  // intact prefix is good data.
+  if (!batch.empty() && deliver_) deliver_(std::move(batch));
   if (corrupt) loop_->close(conn);
 }
 

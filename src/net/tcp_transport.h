@@ -10,10 +10,11 @@
 //
 // Thread model: send()/send_batch() may be called from any thread (they
 // enqueue on the loop's output rings and wake it via its eventfd); the
-// deliver callback runs on the loop thread and must not block. With
-// set_deliver_batch, every complete frame of one readiness burst arrives in
-// a single callback — the seam RealNode uses to step many messages per
-// node-lock acquisition.
+// deliver callback runs on the loop thread and must not block. Every
+// complete frame of one readiness burst arrives in a single deliver call —
+// the seam RealNode uses to step a whole burst into its core. RealNode also
+// runs its core's timers and Ready drain on this transport's loop (loop()),
+// and KvServer adds its client listener to it, so a replica is one thread.
 //
 // The net::testhooks syscall seams live in event_loop.h (shared with the
 // serving layer).
@@ -55,24 +56,18 @@ struct TransportOptions {
 
 class TcpTransport {
  public:
-  using DeliverFn = std::function<void(const rpc::Envelope&)>;
-  using DeliverBatchFn = std::function<void(std::vector<rpc::Envelope>&&)>;
+  /// Receives every message parsed from one readiness burst, in order.
+  using DeliverFn = std::function<void(std::vector<rpc::Envelope>&&)>;
 
   /// `endpoints` maps every cluster member (including `self`) to a TCP port
   /// on 127.0.0.1. The transport binds self's port in start() (unless
-  /// options.listen_fd adopts a pre-bound listener). `deliver` may be null
-  /// when set_deliver_batch() installs a batch callback before start().
+  /// options.listen_fd adopts a pre-bound listener).
   TcpTransport(ServerId self, std::map<ServerId, std::uint16_t> endpoints, DeliverFn deliver,
                TransportOptions options = {});
   ~TcpTransport();
 
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
-
-  /// Replaces per-envelope delivery with whole-burst delivery: all messages
-  /// parsed from one readiness edge arrive in a single call, in order.
-  /// Call before start().
-  void set_deliver_batch(DeliverBatchFn deliver_batch);
 
   /// Binds (or adopts), listens and launches the event-loop thread. Throws
   /// std::runtime_error on bind failure.
@@ -97,6 +92,10 @@ class TcpTransport {
   const TransportStats& stats() const { return stats_; }
   ServerId self() const { return self_; }
 
+  /// The event loop carrying this transport's connections (its service 0).
+  EventLoop& loop() { return *loop_; }
+  const EventLoop& loop() const { return *loop_; }
+
  private:
   void on_frames(EventLoop::ConnId conn, std::vector<std::vector<std::uint8_t>>&& frames);
   void on_conn_closed(EventLoop::ConnId conn);
@@ -105,7 +104,6 @@ class TcpTransport {
   const ServerId self_;
   const std::map<ServerId, std::uint16_t> endpoints_;
   DeliverFn deliver_;
-  DeliverBatchFn deliver_batch_;
   const TransportOptions options_;
 
   std::unique_ptr<EventLoop> loop_;

@@ -117,11 +117,7 @@ void ReadySequenceChecker::check_send(const Ready& ready) const {
 
 NodeDriver::NodeDriver(storage::StateStore& state_store, storage::Wal& wal,
                        storage::SnapshotStore* snapshots)
-    : NodeDriver(state_store, wal, snapshots, Options()) {}
-
-NodeDriver::NodeDriver(storage::StateStore& state_store, storage::Wal& wal,
-                       storage::SnapshotStore* snapshots, Options options)
-    : state_store_(state_store), wal_(wal), snapshots_(snapshots), options_(options) {}
+    : state_store_(state_store), wal_(wal), snapshots_(snapshots) {}
 
 Bootstrap NodeDriver::recover() {
   Bootstrap boot;
@@ -189,42 +185,23 @@ bool NodeDriver::pump_one() {
   if (!node_->has_ready()) return false;
   Ready ready = node_->ready();
 
-  // 1. Persistence — write everything before a single byte leaves. Hard
-  // state is small and rare (term/vote/config changes); it saves inline even
-  // in async mode, so only the log ops ride the completion queue.
+  // 1. Persistence — write everything before a single byte leaves, then
+  // group-commit: one sync covers every record the batch carried
+  // (NullWal/MemoryWal: no-op; FileWal: one fsync).
   if (ready.hard_state) state_store_.save(*ready.hard_state);
-  records_since_sync_ += execute_log_ops(ready);
-
-  if (options_.async_persist) {
-    // Stage: the writes are issued but not synced, so nothing may be sent
-    // yet — a message now could promise durability a crash would revoke.
-    // Applies and read grants proceed (committed entries are quorum-durable
-    // by definition; the local state machine is volatile and rebuilt on
-    // restart), and advance() below lets the core keep producing while the
-    // batch waits for flush_persists().
-    if (hooks_.phase) hooks_.phase(Phase::kStaged, ready);
-  } else {
-    if (options_.group_commit && records_since_sync_ > 0) {
-      // Group commit step 2: one sync per batch, amortized over every record
-      // it carried (NullWal/MemoryWal: no-op; FileWal: one fsync).
-      wal_.sync();
-      NodeCounters& c = node_->mutable_counters();
-      ++c.wal_group_syncs;
-      c.wal_records_per_sync.record(records_since_sync_);
-      records_since_sync_ = 0;
-    }
-#ifndef NDEBUG
-    checker_.note_persisted(ready);
-#endif
-    if (hooks_.phase) hooks_.phase(Phase::kPersisted, ready);
-
-    // 2. Send.
-#ifndef NDEBUG
-    checker_.check_send(ready);
-#endif
-    if (!ready.messages.empty() && hooks_.send) hooks_.send(ready.messages);
-    if (hooks_.phase) hooks_.phase(Phase::kSent, ready);
+  if (const std::size_t records = execute_log_ops(ready); records > 0) {
+    wal_.sync();
+    NodeCounters& c = node_->mutable_counters();
+    ++c.wal_group_syncs;
+    c.wal_records_per_sync.record(records);
   }
+  checker_.note_persisted(ready);
+  if (hooks_.phase) hooks_.phase(Phase::kPersisted, ready);
+
+  // 2. Send.
+  checker_.check_send(ready);
+  if (!ready.messages.empty() && hooks_.send) hooks_.send(ready.messages);
+  if (hooks_.phase) hooks_.phase(Phase::kSent, ready);
 
   // 3. Restore, then apply — in-batch order is part of the contract.
   if (ready.restore) {
@@ -243,7 +220,6 @@ bool NodeDriver::pump_one() {
 
   if (hooks_.observe) hooks_.observe(ready);
   node_->advance(applied_);
-  if (options_.async_persist) staged_.push_back(std::move(ready));
   return true;
 }
 
@@ -251,42 +227,6 @@ std::size_t NodeDriver::pump() {
   std::size_t drained = 0;
   while (pump_one()) ++drained;
   return drained;
-}
-
-std::size_t NodeDriver::flush_persists(TimePoint now) {
-  if (staged_.empty()) return 0;
-  // One sync covers every staged batch's writes — the async flavour of group
-  // commit: the fsync is amortized over everything the core produced while
-  // the previous one was (conceptually) in flight.
-  wal_.sync();
-  NodeCounters& counters = node_->mutable_counters();
-  ++counters.wal_group_syncs;
-  counters.wal_records_per_sync.record(records_since_sync_);
-  records_since_sync_ = 0;
-
-  LogIndex highest_durable = 0;
-  std::vector<Ready> releasing;
-  releasing.swap(staged_);  // send hooks may pump_one() and stage new batches
-  for (Ready& ready : releasing) {
-    // FIFO per batch: prove durability covers the sends, then release them.
-    // A driver bug that reordered or dropped a stage shows up here as the
-    // checker throwing on the first overclaiming message.
-#ifndef NDEBUG
-    checker_.note_persisted(ready);
-    checker_.check_send(ready);
-#endif
-    if (hooks_.phase) hooks_.phase(Phase::kPersisted, ready);
-    if (!ready.messages.empty() && hooks_.send) hooks_.send(ready.messages);
-    if (hooks_.phase) hooks_.phase(Phase::kSent, ready);
-    for (const LogOp& op : ready.log_ops) {
-      if (op.kind == LogOp::Kind::kAppend && op.entry.index > highest_durable) {
-        highest_durable = op.entry.index;
-      }
-    }
-  }
-  const std::size_t released = releasing.size();
-  if (highest_durable > 0) node_->ack_persisted(highest_durable, now);
-  return released;
 }
 
 }  // namespace escape::raft

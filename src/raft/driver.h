@@ -12,12 +12,16 @@
 //   4. apply     committed entries   -> Hooks::apply
 //   5. grant     read completions    -> Hooks::read
 //
-// Both runtimes consume Ready through this class — sim::SimDriver dispatches
-// hooks synchronously into the simulated network, net::RealDriver buffers
-// them for flushing outside the node lock — so the simulator fuzzes the same
-// persist-before-send discipline the TCP runtime ships with.
+// Both runtimes consume Ready through this class with immediate hooks —
+// sim::SimCluster dispatches into the simulated network, net::Replica (under
+// RealNode's event loop) into the TCP transport — so the simulator fuzzes the
+// same persist-before-send discipline the TCP runtime ships with.
 //
-// In debug builds every batch passes through a ReadySequenceChecker, which
+// Group commit: a batch's log ops are written (consecutive appends coalesce
+// into one Wal::append_batch) and then covered by a single Wal::sync(), so one
+// fsync is amortized over everything the batch carried.
+//
+// In every build, every batch passes through a ReadySequenceChecker, which
 // throws if a batch's messages imply state its persistence section did not
 // cover (the ordering hazard: acking an append before the entry is durable,
 // or confirming a vote that would not survive a crash).
@@ -36,8 +40,7 @@
 namespace escape::raft {
 
 /// Validates the persist-before-send protocol invariant over a stream of
-/// Ready batches. Always compiled (so release test builds can unit-test it);
-/// NodeDriver invokes it only in debug builds.
+/// Ready batches. NodeDriver runs it on every batch it drains.
 ///
 /// Usage per batch, in this order:
 ///   checker.note_persisted(ready);   // after executing the persistence ops
@@ -68,27 +71,8 @@ class NodeDriver {
   /// Drain stages a crash-point test can observe (and throw from, modelling
   /// a kill between ready() and advance()).
   enum class Phase : std::uint8_t {
-    kStaged,     ///< async mode only: log ops written but NOT synced; sends held
     kPersisted,  ///< hard state + log ops durable; nothing sent yet
     kSent,       ///< messages handed to transport; nothing applied yet
-  };
-
-  /// Durability strategy knobs.
-  struct Options {
-    /// Group commit: issue one Wal::sync() per Ready batch that carried log
-    /// ops (consecutive appends coalesce into Wal::append_batch), instead of
-    /// relying on the WAL's own per-record sync. One fsync amortized over a
-    /// whole batch is where the write-path throughput comes from.
-    bool group_commit = true;
-
-    /// Async persist: pump_one() stages each batch — log ops written without
-    /// syncing, messages HELD — while restore/apply/grant run immediately
-    /// and the core keeps producing. flush_persists() later issues a single
-    /// sync covering every staged batch, releases their sends in FIFO order,
-    /// and acks durability to the core via RaftNode::ack_persisted(). The
-    /// attached node must run with NodeOptions::async_persist so its commit
-    /// rule does not count the local copy before the ack.
-    bool async_persist = false;
   };
 
   /// Environment callbacks. Unset hooks skip their stage (messages are
@@ -114,8 +98,6 @@ class NodeDriver {
   /// (no snapshot persistence: the core will refuse compact()).
   NodeDriver(storage::StateStore& state_store, storage::Wal& wal,
              storage::SnapshotStore* snapshots);
-  NodeDriver(storage::StateStore& state_store, storage::Wal& wal,
-             storage::SnapshotStore* snapshots, Options options);
 
   NodeDriver(const NodeDriver&) = delete;
   NodeDriver& operator=(const NodeDriver&) = delete;
@@ -136,25 +118,12 @@ class NodeDriver {
   /// Drains every pending batch; returns how many were drained.
   std::size_t pump();
 
-  /// Async-persist completion (Options::async_persist): issues one
-  /// Wal::sync() covering every staged batch, then per batch in FIFO order
-  /// proves persist-before-send (debug), releases the held messages, and
-  /// finally acks durability to the core with `now`. Returns the number of
-  /// batches released. No-op (returns 0) when nothing is staged. The ack may
-  /// advance the core's commit index, producing a fresh Ready — callers
-  /// pump() again after flushing.
-  std::size_t flush_persists(TimePoint now);
-
-  /// Batches written-but-unsynced, their sends held (async mode).
-  std::size_t staged() const { return staged_.size(); }
-
   /// Highest index this driver's environment has applied (restore
   /// boundaries included).
   LogIndex applied() const { return applied_; }
 
   Hooks& hooks() { return hooks_; }
   RaftNode& node() { return *node_; }
-  const Options& options() const { return options_; }
 
  private:
   /// Executes one batch's log ops against the WAL, coalescing consecutive
@@ -164,16 +133,10 @@ class NodeDriver {
   storage::StateStore& state_store_;
   storage::Wal& wal_;
   storage::SnapshotStore* snapshots_;
-  const Options options_;
   RaftNode* node_ = nullptr;
   LogIndex applied_ = 0;
   Hooks hooks_;
   ReadySequenceChecker checker_;
-  /// FIFO persist-completion queue (async mode): batches whose log ops are
-  /// written but not synced and whose messages are held.
-  std::vector<Ready> staged_;
-  /// WAL records written since the last sync (feeds wal_records_per_sync).
-  std::size_t records_since_sync_ = 0;
 };
 
 }  // namespace escape::raft

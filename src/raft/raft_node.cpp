@@ -382,18 +382,6 @@ std::optional<LogIndex> RaftNode::submit(std::vector<std::uint8_t> command, Time
   return index;
 }
 
-void RaftNode::ack_persisted(LogIndex durable, TimePoint now) {
-  assert(started_);
-  assert_inputs_allowed();
-  if (durable > durable_index_) {
-    durable_index_ = durable;
-    // The leader's own copy just became countable (see NodeOptions::
-    // async_persist); entries waiting only on it can commit now.
-    if (role_ == Role::kLeader) maybe_advance_commit(now);
-  }
-  sync_soft_state();
-}
-
 bool RaftNode::transfer_leadership(ServerId target, TimePoint now) {
   assert_inputs_allowed();
   if (role_ != Role::kLeader || target == id_) return false;
@@ -1293,18 +1281,15 @@ void RaftNode::send_install_snapshot(ServerId peer) {
 }
 
 void RaftNode::maybe_advance_commit(TimePoint now) {
-  // Per-voter-set majority test: self counts only when its own copy is
-  // durable — always true with an inline-persisting driver (the Ready
-  // contract persists before the acks that drive this arrive), but in
-  // async-persist mode the local WAL tail may still sit in the completion
-  // queue, and until ack_persisted() covers n, commitment must come from
-  // the followers alone. Learners and retired peers hold Progress but sit
-  // outside every voter set, so their matches never count here.
+  // Per-voter-set majority test. Self always counts: the Ready contract
+  // persists the leader's own entries before the acks that drive this
+  // arrive. Learners and retired peers hold Progress but sit outside every
+  // voter set, so their matches never count here.
   const auto set_replicated = [&](const std::vector<ServerId>& set, LogIndex n) {
     std::size_t replicas = 0;
     for (const ServerId s : set) {
       if (s == id_) {
-        if (!options_.async_persist || durable_index_ >= n) ++replicas;
+        ++replicas;
       } else {
         const auto it = progress_.find(s);
         if (it != progress_.end() && it->second.match >= n) ++replicas;

@@ -17,10 +17,9 @@
 //   }
 //   schedule_wakeup_at(node.next_deadline());
 //
-// Two drivers exist: the simulator's (sim::SimDriver, under SimCluster) and
-// the TCP runtime's (net::RealDriver, under RealNode). Both consume Ready
-// through raft::NodeDriver, so SimCheck fuzzes exactly the code production
-// runs — including all the ESCAPE machinery (patrol rearrangement π(P, k),
+// Two runtimes drain it: the simulator (sim::SimCluster) and the TCP runtime
+// (net::Replica, on RealNode's event loop). Both consume Ready through
+// raft::NodeDriver, so SimCheck fuzzes exactly the code production runs — including all the ESCAPE machinery (patrol rearrangement π(P, k),
 // PPF pool, confClock strides, lease arming/revocation, vote-recency guard),
 // which lives entirely inside this class.
 //
@@ -72,15 +71,6 @@ struct NodeOptions {
   /// (single message outstanding) and conflict hints walk the cursor back.
   /// 1 degenerates to one-batch-per-RTT replication.
   std::size_t max_inflight_msgs = 16;
-
-  /// Async-persist mode: the driver stages WAL writes and acks durability
-  /// later via ack_persisted(). Until its own tail is acked durable, the
-  /// leader does not count itself toward the commit quorum — a quorum of
-  /// followers alone may still commit. Without this gate an async leader
-  /// could commit with (self + quorum-1) copies, crash losing its unsynced
-  /// tail, and the entry would survive on too few servers. Must match the
-  /// driver's async option.
-  bool async_persist = false;
 
   /// Append and replicate a no-op entry on winning an election (commits
   /// prior-term entries per Raft §5.4.2). Off by default so election-latency
@@ -254,13 +244,6 @@ class RaftNode {
   /// Fires any timer whose deadline is <= now.
   void tick(TimePoint now);
 
-  /// Async-persist completion (drivers running NodeDriver::Options::
-  /// async_persist): everything through `durable` is now on stable storage.
-  /// Unblocks the leader's self-count in the commit rule (see
-  /// NodeOptions::async_persist). Monotonic; stale acks are ignored. A no-op
-  /// (but harmless) input when async_persist is off.
-  void ack_persisted(LogIndex durable, TimePoint now);
-
   /// Leader-side command submission. Returns the assigned log index, or
   /// nullopt when this node is not the leader (caller redirects using
   /// leader_hint()).
@@ -379,8 +362,6 @@ class RaftNode {
     const auto it = progress_.find(peer);
     return it == progress_.end() ? nullptr : &it->second;
   }
-  /// Highest index acked durable via ack_persisted() (async-persist mode).
-  LogIndex durable_index() const { return durable_index_; }
   /// Configuration clock currently adopted (0 under vanilla Raft).
   ConfClock conf_clock() const { return policy_->current_config().conf_clock; }
   /// True when this leader's lease authorizes zero-message reads at `now`.
@@ -529,9 +510,6 @@ class RaftNode {
   /// Heartbeat round at which an InstallSnapshot was last shipped per peer;
   /// throttles resends to silent followers (see snapshot_retry_rounds).
   std::unordered_map<ServerId, std::uint64_t> install_sent_round_;
-  /// Highest log index the driver has acked durable (async-persist mode;
-  /// tracks the WAL tail trivially when the driver persists inline).
-  LogIndex durable_index_ = 0;
 
   // Read fast path (leader volatile state; cleared on every role change).
   struct PendingRead {

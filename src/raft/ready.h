@@ -21,7 +21,7 @@
 // survives a crash. Drivers assert the discipline via ReadySequenceChecker
 // (raft/driver.h). The payoff of the split is that one bit-identical core is
 // exercised by the simulator's fuzzing and by the TCP runtime, and that
-// batched/async persistence can be built entirely driver-side.
+// batched persistence (group commit) lives entirely driver-side.
 #pragma once
 
 #include <memory>

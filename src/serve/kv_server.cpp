@@ -20,17 +20,13 @@ KvServer::KvServer(ServerId id, std::map<ServerId, std::uint16_t> raft_endpoints
                    net::PolicyFactory policy, Options options)
     : id_(id),
       node_(id, std::move(raft_endpoints), std::move(policy), options.node),
-      loop_(
-          [this] {
-            net::EventLoop::Handler h;
-            h.on_frames = [this](net::EventLoop::ConnId conn,
-                                 std::vector<std::vector<std::uint8_t>>&& frames) {
-              on_frames(conn, std::move(frames));
-            };
-            return h;
-          }(),
-          client_loop_options(options)),
       options_(std::move(options)) {
+  net::EventLoop::Handler handler;
+  handler.on_frames = [this](net::EventLoop::ConnId conn,
+                             std::vector<std::vector<std::uint8_t>>&& frames) {
+    on_frames(conn, std::move(frames));
+  };
+  client_ = node_.loop().add_service(std::move(handler), client_loop_options(options_));
   node_.set_apply_hook([this](const rpc::LogEntry& entry) { on_apply(entry); });
   node_.set_read_hook([this](const raft::ReadGrant& grant) { on_read(grant); });
   node_.set_restore_hook([this](const raft::Snapshot& snapshot) { on_restore(snapshot); });
@@ -42,21 +38,16 @@ KvServer::~KvServer() { stop(); }
 void KvServer::start() {
   net::BoundListener listener{options_.client_listen_fd, options_.client_port};
   if (listener.fd < 0) listener = net::bind_loopback_listener(listener.port);
-  loop_.listen(listener);
+  node_.loop().listen(listener, client_);
   node_.start();
-  loop_.start();
 }
 
-void KvServer::stop() {
-  // Node first: its driver thread answers requests through loop_, so the
-  // loop must outlive it.
-  node_.stop();
-  loop_.stop();
-}
+// One thread: stopping the node stops the loop that serves the clients too.
+void KvServer::stop() { node_.stop(); }
 
 void KvServer::respond(net::EventLoop::ConnId conn, const Response& response) {
   // Overflow (slow client) evicts inside send(); nothing more to do here.
-  loop_.send(conn, rpc::frame_payload(encode_response(response)));
+  node_.loop().send(conn, rpc::frame_payload(encode_response(response)));
 }
 
 void KvServer::on_frames(net::EventLoop::ConnId conn,
@@ -65,7 +56,7 @@ void KvServer::on_frames(net::EventLoop::ConnId conn,
     auto request = decode_request(payload);
     if (!request) {
       LOG_WARN("kv server " << server_name(id_) << ": undecodable client request; closing");
-      loop_.close(conn);
+      node_.loop().close(conn);
       return;
     }
     handle_request(conn, *request);
@@ -76,16 +67,11 @@ void KvServer::handle_request(net::EventLoop::ConnId conn, const Request& reques
   Response response;
   response.request_id = request.request_id;
 
-  // mu_ is held ACROSS the submit and the pending-table insert: the commit
-  // (and its apply/read hook on the driver thread) can land before submit
-  // returns, and the hook must block on mu_ until the pending entry exists.
-  // No deadlock: the driver thread invokes hooks with the node lock
-  // released, so kv-mu -> node-mu is the only nesting order.
+  // On the loop thread: the batch this submission produces drains in the
+  // loop's tick, after this request is parked in its pending table.
   if (request.command.op == kv::Op::kGet) {
-    std::unique_lock lock(mu_);
     const auto read = node_.submit_read();
     if (!read) {
-      lock.unlock();
       response.status = Status::kNotLeader;
       response.leader_hint = node_.leader_hint();
       respond(conn, response);
@@ -95,10 +81,8 @@ void KvServer::handle_request(net::EventLoop::ConnId conn, const Request& reques
     return;
   }
 
-  std::unique_lock lock(mu_);
   const auto index = node_.submit(kv::encode_command(request.command));
   if (!index) {
-    lock.unlock();
     response.status = Status::kNotLeader;
     response.leader_hint = node_.leader_hint();
     respond(conn, response);
@@ -109,19 +93,15 @@ void KvServer::handle_request(net::EventLoop::ConnId conn, const Request& reques
 }
 
 void KvServer::on_apply(const rpc::LogEntry& entry) {
-  // Driver thread: the store is applied unconditionally (every replica runs
-  // the same state machine); only the leader that accepted the request has a
-  // pending to answer.
+  // The store is applied unconditionally (every replica runs the same state
+  // machine); only the leader that accepted the request has a pending to
+  // answer.
   const auto result_bytes = store_.apply(entry);
 
-  PendingWrite pending;
-  {
-    std::lock_guard lock(mu_);
-    const auto it = pending_writes_.find(entry.index);
-    if (it == pending_writes_.end()) return;
-    pending = it->second;
-    pending_writes_.erase(it);
-  }
+  const auto it = pending_writes_.find(entry.index);
+  if (it == pending_writes_.end()) return;
+  const PendingWrite pending = it->second;
+  pending_writes_.erase(it);
 
   Response response;
   response.request_id = pending.request_id;
@@ -141,19 +121,15 @@ void KvServer::on_apply(const rpc::LogEntry& entry) {
 }
 
 void KvServer::on_read(const raft::ReadGrant& grant) {
-  PendingRead pending;
-  {
-    std::lock_guard lock(mu_);
-    const auto it = pending_reads_.find(grant.id);
-    if (it == pending_reads_.end()) return;
-    pending = std::move(it->second);
-    pending_reads_.erase(it);
-  }
+  const auto it = pending_reads_.find(grant.id);
+  if (it == pending_reads_.end()) return;
+  const PendingRead pending = std::move(it->second);
+  pending_reads_.erase(it);
   Response response;
   response.request_id = pending.request_id;
   if (grant.ok) {
-    // The driver already applied every entry up to the read index, so the
-    // local store is a linearizable view for this read.
+    // Every entry up to the read index is already applied, so the local
+    // store is a linearizable view for this read.
     const auto value = store_.peek(pending.key);
     response.status = Status::kOk;
     response.result.ok = value.has_value();
@@ -171,19 +147,14 @@ void KvServer::on_restore(const raft::Snapshot& snapshot) {
   // Writes at or below the snapshot index committed but their per-index
   // outcome is unknowable now; kRetry is safe — session dedup answers from
   // the restored session table if the command already executed.
-  std::vector<std::pair<net::EventLoop::ConnId, Response>> retries;
-  {
-    std::lock_guard lock(mu_);
-    for (auto it = pending_writes_.begin(); it != pending_writes_.end();) {
-      if (it->first > snapshot.last_included_index) break;
-      Response response;
-      response.request_id = it->second.request_id;
-      response.status = Status::kRetry;
-      retries.emplace_back(it->second.conn, response);
-      it = pending_writes_.erase(it);
-    }
+  for (auto it = pending_writes_.begin(); it != pending_writes_.end();) {
+    if (it->first > snapshot.last_included_index) break;
+    Response response;
+    response.request_id = it->second.request_id;
+    response.status = Status::kRetry;
+    respond(it->second.conn, response);
+    it = pending_writes_.erase(it);
   }
-  for (const auto& [conn, response] : retries) respond(conn, response);
 }
 
 }  // namespace escape::serve

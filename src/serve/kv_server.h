@@ -1,34 +1,35 @@
 // One replica of the replicated KV service: a RealNode (consensus over TCP)
-// plus a client-facing EventLoop speaking serve::kv_wire.
+// plus a client listener speaking serve::kv_wire.
 //
-// Two event loops per server, mirroring the deployment split: the raft
-// transport's loop carries only peer traffic, the client loop carries only
-// Request/Response frames. The client loop runs in serving mode — bounded
-// per-connection output with slow-client eviction — so a client that stops
-// reading its responses is cut loose instead of pinning server memory.
+// One thread per server: the client listener is a second service on the
+// RealNode's event loop, beside the raft transport, so client requests,
+// peer messages, timers and the Ready drain all run on the loop thread. The
+// client service runs in serving mode — bounded per-connection output with
+// slow-client eviction — so a client that stops reading its responses is
+// cut loose instead of pinning server memory; its stats (loop_stats())
+// count client connections only.
 //
 // Request handling:
 //   * writes (Put/Del/Cas) submit to the node and park in a pending table
-//     keyed by the returned log index. The apply hook (driver thread) feeds
-//     every committed entry to the local KvStore; when the entry at a pending
-//     index arrives, the stored (client_id, sequence) decides the outcome —
+//     keyed by the returned log index. The apply hook feeds every committed
+//     entry to the local KvStore; when the entry at a pending index
+//     arrives, the stored (client_id, sequence) decides the outcome —
 //     a match answers kOk with the apply result, a mismatch means this
 //     leader's entry was displaced by a newer term and the client must
 //     resubmit (kRetry; session dedup keeps the retry exactly-once).
-//   * reads (Get) go through submit_read; the grant arriving on the driver
-//     thread licenses serving the key from the local store (every committed
-//     entry up to the read index has already been applied).
+//   * reads (Get) go through submit_read; the grant licenses serving the key
+//     from the local store (every committed entry up to the read index has
+//     already been applied).
 //   * a non-leader answers kNotLeader with its leader hint.
 //
-// The KvStore is touched exclusively on the driver thread (apply / restore /
-// read grants / compaction snapshots), so the state machine itself needs no
-// lock; only the pending tables are shared with the client loop.
+// The KvStore and the pending tables are touched only on the loop thread (a
+// request is parked before the tick that drains its batch can answer it),
+// so none of them needs a lock.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "kv/kv_store.h"
@@ -46,7 +47,7 @@ class KvServer {
     /// server binds 127.0.0.1:client_port (0 = kernel-assigned).
     int client_listen_fd = -1;
     std::uint16_t client_port = 0;
-    /// Client-loop backpressure bound (see EventLoop::Options).
+    /// Client-service backpressure bound (see EventLoop::Options).
     std::size_t max_client_outbuf = 4u << 20;
   };
 
@@ -63,10 +64,11 @@ class KvServer {
   void stop();
 
   /// Client-facing port (kernel-assigned when Options asked for port 0).
-  std::uint16_t client_port() const { return loop_.port(); }
+  std::uint16_t client_port() const { return node_.loop().port(client_); }
 
   net::RealNode& node() { return node_; }
-  const net::EventLoopStats& loop_stats() const { return loop_.stats(); }
+  /// Stats of the client connections only.
+  const net::EventLoopStats& loop_stats() const { return node_.loop().stats(client_); }
   ServerId id() const { return id_; }
 
  private:
@@ -91,11 +93,9 @@ class KvServer {
 
   const ServerId id_;
   net::RealNode node_;
-  net::EventLoop loop_;
+  net::EventLoop::ServiceId client_;
   Options options_;
-  kv::KvStore store_;  ///< driver-thread-only
-
-  std::mutex mu_;  // guards the pending tables (client loop vs driver thread)
+  kv::KvStore store_;
   std::map<LogIndex, PendingWrite> pending_writes_;
   std::map<raft::ReadId, PendingRead> pending_reads_;
 };

@@ -18,7 +18,6 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
     group_options.size = options_.hosts;
     group_options.policy = options_.policy;
     group_options.node = options_.node;
-    group_options.driver = options_.driver;
     group_options.network = options_.network;
     // Independent deterministic randomness per group (elections, network
     // jitter), all derived from one deployment seed.

@@ -30,7 +30,6 @@ struct ShardedClusterOptions {
   /// Raft. Pass sim::presets::escape_policy() for ESCAPE groups.
   sim::PolicyFactory policy;
   raft::NodeOptions node;
-  raft::NodeDriver::Options driver;
   sim::NetworkOptions network;
   std::uint64_t seed = 42;
   LogIndex snapshot_interval = 0;

@@ -22,9 +22,6 @@ SimCluster::SimCluster(ClusterOptions options)
       rng_(options_.seed) {
   if (options_.size == 0) throw std::invalid_argument("cluster size must be >= 1");
   if (!options_.policy) options_.policy = raft_policy_factory(from_ms(1500), from_ms(3000));
-  // The core's commit rule and the driver's staging must agree on who counts
-  // the local copy; force the node option so callers can't desynchronize them.
-  if (options_.driver.async_persist) options_.node.async_persist = true;
   for (ServerId id = 1; id <= options_.size; ++id) members_.push_back(id);
   seed_size_ = members_.size();
   network_ = std::make_unique<SimNetwork>(
@@ -41,8 +38,7 @@ SimCluster::SimCluster(ClusterOptions options)
 
 void SimCluster::build_node(ServerId id) {
   auto& host = hosts_.at(id);
-  host.driver = std::make_unique<SimDriver>(*host.store, *host.wal, host.snaps.get(),
-                                            options_.driver);
+  host.driver = std::make_unique<raft::NodeDriver>(*host.store, *host.wal, host.snaps.get());
   // The policy is parameterized by the host's *bootstrap* voter count (its
   // Eq. 1 starting point); conf entries recovered from the WAL re-parameterize
   // it via on_membership_changed before the node ever ticks.
@@ -176,7 +172,7 @@ std::optional<LogIndex> SimCluster::trigger_snapshot(ServerId id) {
   if (!host.alive || !host.node) return std::nullopt;
   auto state = snapshot_state_hook_ ? snapshot_state_hook_(id) : std::vector<std::uint8_t>{};
   const auto upto = host.node->compact(host.node->last_applied(), std::move(state), loop_->now());
-  host.driver->pump(loop_->now());  // drain the kSaveSnapshot/kCompactTo ops immediately
+  host.driver->pump();  // drain the kSaveSnapshot/kCompactTo ops immediately
   return upto;
 }
 
@@ -269,7 +265,7 @@ void SimCluster::remove_read_listener(std::size_t handle) { read_listeners_.eras
 void SimCluster::pump(ServerId id) {
   auto& host = hosts_.at(id);
   if (!host.alive || !host.node) return;
-  host.driver->pump(loop_->now());
+  host.driver->pump();
   if (options_.snapshot_interval > 0 &&
       host.node->last_applied() - host.node->log().base() >= options_.snapshot_interval) {
     trigger_snapshot(id);
@@ -277,7 +273,7 @@ void SimCluster::pump(ServerId id) {
   ensure_timer(id);
 }
 
-SimDriver& SimCluster::driver(ServerId id) {
+raft::NodeDriver& SimCluster::driver(ServerId id) {
   auto& host = hosts_.at(id);
   if (!host.driver) throw std::logic_error("node " + server_name(id) + " is crashed");
   return *host.driver;

@@ -1,12 +1,13 @@
 // Simulated cluster harness.
 //
 // Hosts N RaftNode cores over a SimNetwork on one EventLoop. Each host pairs
-// its core with a SimDriver over an owned "disk" (MemoryStateStore +
+// its core with a raft::NodeDriver over an owned "disk" (MemoryStateStore +
 // MemoryWal + MemorySnapshotStore), so crash/recover cycles model a machine
 // whose durable state survives process death — and every simulated run
-// exercises the same Ready drain discipline the TCP runtime uses. Provides
-// the fault
-// injection and measurement hooks the paper's evaluation protocol needs:
+// exercises the same Ready drain the TCP runtime uses. The driver's hooks
+// dispatch immediately: sends go straight into the SimNetwork and committed
+// entries into the host's replica state, inline, in virtual time. Provides
+// the fault injection and measurement hooks the paper's evaluation protocol needs:
 // crash/recover, link isolation, event listeners, and stop predicates for
 // running the simulation until an election-related condition holds.
 #pragma once
@@ -19,10 +20,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "raft/driver.h"
 #include "raft/raft_node.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
-#include "sim/sim_driver.h"
 #include "storage/snapshot_store.h"
 #include "storage/state_store.h"
 #include "storage/wal.h"
@@ -41,10 +42,6 @@ struct ClusterOptions {
   std::size_t size = 5;
   PolicyFactory policy;  ///< defaults to Raft with 1500–3000 ms timeouts
   raft::NodeOptions node;
-  /// Durability strategy for every host's driver (group commit, async
-  /// persist). When driver.async_persist is set, node.async_persist is forced
-  /// on so the core's commit rule matches the driver's staging.
-  raft::NodeDriver::Options driver;
   NetworkOptions network;
   std::uint64_t seed = 42;
   /// External event loop to run on. When null (the default) the cluster owns
@@ -207,7 +204,7 @@ class SimCluster {
 
   /// The driver consuming a node's Ready batches (tests attach phase hooks
   /// and Ready observers through it). Throws when the node is crashed.
-  SimDriver& driver(ServerId id);
+  raft::NodeDriver& driver(ServerId id);
 
  private:
   struct Host {
@@ -219,7 +216,7 @@ class SimCluster {
     /// Durable config entries (log/snapshot) override it on recovery.
     rpc::Membership base;
     /// Per-incarnation Ready consumer; rebuilt (like the node) on recover.
-    std::unique_ptr<SimDriver> driver;
+    std::unique_ptr<raft::NodeDriver> driver;
     std::unique_ptr<raft::RaftNode> node;
     bool alive = false;
     TimePoint scheduled_wakeup = kNever;

@@ -130,8 +130,7 @@ void MemoryWal::compact_to(LogIndex upto) {
   base_ = upto;
 }
 
-FileWal::FileWal(std::string path, bool sync_every_record)
-    : path_(std::move(path)), sync_every_record_(sync_every_record) {
+FileWal::FileWal(std::string path) : path_(std::move(path)) {
   std::vector<Segment> on_disk;
   if (std::filesystem::exists(path_)) on_disk.push_back({path_, 0});
   for (const auto& [seq, file] : rolled_segments(path_)) {
@@ -246,7 +245,6 @@ bool FileWal::replay_record(std::uint8_t kind, const std::vector<std::uint8_t>& 
 void FileWal::write_buffer(const std::vector<std::uint8_t>& buf) {
   write_all(fd_, buf, segments_.back().path);
   unsynced_ = true;
-  if (sync_every_record_) sync();
 }
 
 void FileWal::write_record(std::uint8_t kind, const std::vector<std::uint8_t>& payload) {

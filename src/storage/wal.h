@@ -109,7 +109,7 @@ class FileWal final : public Wal {
   /// Recovered entries are available via recovered_entries(). A trailing
   /// torn record is truncated away; a corrupt record ends the replay and
   /// every later segment is deleted.
-  explicit FileWal(std::string path, bool sync_every_record = false);
+  explicit FileWal(std::string path);
   ~FileWal() override;
 
   FileWal(const FileWal&) = delete;
@@ -147,7 +147,6 @@ class FileWal final : public Wal {
   void write_buffer(const std::vector<std::uint8_t>& buf);
 
   std::string path_;
-  bool sync_every_record_;
   int fd_ = -1;                           ///< open on segments_.back()
   LogIndex base_ = 0;                     ///< highest compaction record replayed or written
   std::vector<rpc::LogEntry> recovered_;  ///< contiguous, all above base_

@@ -1,10 +1,12 @@
-// Driver conformance: the simulator's immediate-dispatch SimDriver and the
-// TCP runtime's buffered RealDriver must drive one core identically. A
+// Driver conformance: the simulator's drain (a raft::NodeDriver with
+// immediate hooks, as SimCluster wires it) and the TCP runtime's drain
+// (net::Replica, exactly the code RealNode runs on its loop thread, with a
+// fake send sink in place of sockets) must drive one core identically. A
 // scripted three-node scenario — election, replication, leader failover,
 // snapshot catch-up of a lagging restart, and a linearizable read — runs
-// once through each consumption style over in-memory storage, single
-// threaded on a virtual clock, and the per-node Ready streams (observed at
-// the shared NodeDriver underneath) must be byte-identical.
+// once through each runtime over in-memory storage, single threaded on a
+// virtual clock, and the per-node Ready streams (observed at the NodeDriver
+// underneath) must be byte-identical.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -14,9 +16,9 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "net/real_driver.h"
+#include "net/real_cluster.h"
+#include "raft/driver.h"
 #include "raft/raft_node.h"
-#include "sim/sim_driver.h"
 #include "storage/snapshot_store.h"
 #include "storage/state_store.h"
 #include "storage/wal.h"
@@ -38,16 +40,20 @@ NodeOptions test_options() {
 }
 
 /// One server: durable stores that outlive crashes, plus a per-incarnation
-/// driver+core pair in the chosen consumption style.
+/// drain in the chosen runtime's style.
 struct Server {
-  storage::MemoryStateStore store;
-  storage::MemoryWal wal;
-  storage::MemorySnapshotStore snaps;
-  std::unique_ptr<sim::SimDriver> sim;
-  std::unique_ptr<net::RealDriver> real;
-  std::unique_ptr<RaftNode> node;
+  net::Stores stores{std::make_unique<storage::MemoryStateStore>(),
+                     std::make_unique<storage::MemoryWal>(),
+                     std::make_unique<storage::MemorySnapshotStore>()};
+  // kSim: a bare driver + core, as SimCluster hosts them.
+  std::unique_ptr<NodeDriver> sim;
+  std::unique_ptr<RaftNode> sim_node;
+  // kReal: RealNode's loop-thread half.
+  std::unique_ptr<net::Replica> real;
   bool alive = false;
   std::string stream;  ///< concatenated Ready fingerprints, all incarnations
+
+  RaftNode& node() { return real ? real->node() : *sim_node; }
 };
 
 class MiniCluster {
@@ -57,68 +63,66 @@ class MiniCluster {
   }
 
   void start_all(TimePoint now) {
-    for (ServerId id : members_) {
-      servers_.at(id).node->start(now);
-      drain(id);
-    }
+    for (ServerId id : members_) start(id, now);
   }
 
   void boot(ServerId id) {
     Server& s = servers_[id];
-    s.sim.reset();
-    s.real.reset();
-    auto make_node = [&](Bootstrap boot) {
-      return std::make_unique<RaftNode>(id, members_,
-                                        std::make_unique<RaftRandomizedPolicy>(kMin, kMax),
-                                        Rng(seed_ ^ (0xAB00 + id)), test_options(),
-                                        std::move(boot));
-    };
+    crash(id);
+    auto policy = std::make_unique<RaftRandomizedPolicy>(kMin, kMax);
+    Rng rng(seed_ ^ (0xAB00 + id));
+    NodeDriver::Hooks* hooks;
     if (style_ == Style::kSim) {
-      s.sim = std::make_unique<sim::SimDriver>(s.store, s.wal, &s.snaps);
-      s.node = make_node(s.sim->recover());
-      s.sim->attach(*s.node);
-      s.sim->hooks().send = [this](const std::vector<rpc::Envelope>& batch) {
-        for (const auto& env : batch) wire_.push_back(env);
-      };
-      s.sim->base().hooks().observe = [&s](const Ready& rd) { s.stream += fingerprint(rd); };
+      s.sim = std::make_unique<NodeDriver>(*s.stores.state, *s.stores.wal,
+                                           s.stores.snapshots.get());
+      s.sim_node = std::make_unique<RaftNode>(id, members_, std::move(policy), std::move(rng),
+                                              test_options(), s.sim->recover());
+      s.sim->attach(*s.sim_node);
+      hooks = &s.sim->hooks();
     } else {
-      s.real = std::make_unique<net::RealDriver>(s.store, s.wal, &s.snaps);
-      s.node = make_node(s.real->recover());
-      s.real->attach(*s.node);
-      s.real->base().hooks().observe = [&s](const Ready& rd) { s.stream += fingerprint(rd); };
+      s.real = std::make_unique<net::Replica>(id, members_, std::move(policy), std::move(rng),
+                                              test_options(), s.stores);
+      hooks = &s.real->hooks();
     }
+    hooks->send = [this](const std::vector<rpc::Envelope>& batch) {
+      for (const auto& env : batch) wire_.push_back(env);
+    };
+    hooks->read = [this](const ReadGrant& grant) { grants_.push_back(grant); };
+    hooks->observe = [&s](const Ready& rd) { s.stream += fingerprint(rd); };
     s.alive = true;
   }
 
   void crash(ServerId id) {
     Server& s = servers_.at(id);
     s.alive = false;
-    s.node.reset();
-    s.sim.reset();
     s.real.reset();
+    s.sim_node.reset();
+    s.sim.reset();
   }
 
   void recover(ServerId id, TimePoint now) {
     boot(id);
-    servers_.at(id).node->start(now);
-    drain(id);
+    start(id, now);
   }
 
-  /// Drains every pending batch in the style under test. For kReal the
-  /// environment effects are flushed after each pump_one, as RealNode's
-  /// driver thread does outside its lock.
-  void drain(ServerId id) {
+  void start(ServerId id, TimePoint now) {
+    Server& s = servers_.at(id);
+    if (style_ == Style::kSim) {
+      s.sim_node->start(now);
+    } else {
+      s.real->start(now);
+    }
+    drain(id, now);
+  }
+
+  /// Drains every pending batch through the runtime under test.
+  void drain(ServerId id, TimePoint now) {
     Server& s = servers_.at(id);
     if (!s.alive) return;
     if (style_ == Style::kSim) {
       s.sim->pump();
-      return;
-    }
-    net::RealDriver::Effects fx;
-    while (s.real->pump_one(fx)) {
-      for (const auto& env : fx.messages) wire_.push_back(env);
-      for (const auto& grant : fx.read_grants) grants_.push_back(grant);
-      fx.clear();
+    } else {
+      s.real->pump(now);
     }
   }
 
@@ -130,8 +134,8 @@ class MiniCluster {
       wire_.pop_front();
       Server& dst = servers_.at(env.to);
       if (!dst.alive) continue;
-      dst.node->step(env, now);
-      drain(env.to);
+      dst.node().step(env, now);
+      drain(env.to, now);
     }
   }
 
@@ -139,19 +143,19 @@ class MiniCluster {
     for (ServerId id : members_) {
       Server& s = servers_.at(id);
       if (!s.alive) continue;
-      s.node->tick(now);
-      drain(id);
+      s.node().tick(now);
+      drain(id, now);
     }
   }
 
-  ServerId leader() const {
+  ServerId leader() {
     ServerId best = kNoServer;
     Term best_term = -1;
     for (ServerId id : members_) {
-      const Server& s = servers_.at(id);
-      if (s.alive && s.node->role() == Role::kLeader && s.node->term() > best_term) {
+      Server& s = servers_.at(id);
+      if (s.alive && s.node().role() == Role::kLeader && s.node().term() > best_term) {
         best = id;
-        best_term = s.node->term();
+        best_term = s.node().term();
       }
     }
     return best;
@@ -194,8 +198,8 @@ ScenarioResult run_scenario(Style style, std::uint64_t seed) {
     if (now == from_ms(1000) && leader != kNoServer) {
       result.first_leader = leader;
       for (int i = 0; i < 5; ++i) {
-        cluster.server(leader).node->submit({++payload}, now);
-        cluster.drain(leader);
+        cluster.server(leader).node().submit({++payload}, now);
+        cluster.drain(leader, now);
       }
       cluster.deliver_all(now);
     }
@@ -206,8 +210,8 @@ ScenarioResult run_scenario(Style style, std::uint64_t seed) {
     if (now == from_ms(2500) && leader != kNoServer && leader != crashed) {
       result.second_leader = leader;
       for (int i = 0; i < 3; ++i) {
-        cluster.server(leader).node->submit({++payload}, now);
-        cluster.drain(leader);
+        cluster.server(leader).node().submit({++payload}, now);
+        cluster.drain(leader, now);
       }
       cluster.deliver_all(now);
       // Compact the survivors so the crashed server returns behind the log
@@ -215,8 +219,8 @@ ScenarioResult run_scenario(Style style, std::uint64_t seed) {
       for (ServerId id : {ServerId{1}, ServerId{2}, ServerId{3}}) {
         if (id == crashed) continue;
         auto& s = cluster.server(id);
-        s.node->compact(s.node->last_applied(), {0xEE}, now);
-        cluster.drain(id);
+        s.node().compact(s.node().last_applied(), {0xEE}, now);
+        cluster.drain(id, now);
       }
     }
     if (now == from_ms(2800) && crashed != kNoServer) {
@@ -224,8 +228,8 @@ ScenarioResult run_scenario(Style style, std::uint64_t seed) {
       crashed = kNoServer;
     }
     if (now == from_ms(3500) && leader != kNoServer) {
-      cluster.server(leader).node->submit_read(now);
-      cluster.drain(leader);
+      cluster.server(leader).node().submit_read(now);
+      cluster.drain(leader, now);
       cluster.deliver_all(now);
     }
   }
@@ -233,23 +237,15 @@ ScenarioResult run_scenario(Style style, std::uint64_t seed) {
   for (ServerId id : {ServerId{1}, ServerId{2}, ServerId{3}}) {
     result.streams[id] = std::move(cluster.server(id).stream);
   }
-  if (style == Style::kSim) {
-    // Grants were dispatched through the sim hooks; recover them from the
-    // streams instead so both styles report uniformly.
-    for (const auto& [id, stream] : result.streams) {
-      if (stream.find(" ok=1") != std::string::npos) result.read_granted = true;
-    }
-  } else {
-    for (const auto& grant : cluster.grants()) {
-      if (grant.ok) result.read_granted = true;
-    }
+  for (const auto& grant : cluster.grants()) {
+    if (grant.ok) result.read_granted = true;
   }
   return result;
 }
 
 class DriverConformanceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(DriverConformanceTest, SimAndRealDriversProduceIdenticalReadyStreams) {
+TEST_P(DriverConformanceTest, SimAndRealDrainsProduceIdenticalReadyStreams) {
   const ScenarioResult sim = run_scenario(Style::kSim, GetParam());
   const ScenarioResult real = run_scenario(Style::kReal, GetParam());
 

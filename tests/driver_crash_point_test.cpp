@@ -14,14 +14,8 @@
 //     advertised, is never regressed),
 //   - the restarted node completes the remainder of the scenario.
 //
-// The async-persist variant re-runs the same enumeration with
-// Options::async_persist on and a WAL that loses its unsynced tail at the
-// crash — the exposure async mode opens — and kills at every phase event
-// including kStaged. The held-sends discipline is what must make the loss
-// safe: nothing acked before the crash may sit in the lost tail.
-//
-// Plus the negative test for the persist-before-send checker itself (the
-// class is compiled in release builds too, so this runs everywhere).
+// Plus the negative tests for the persist-before-send checker itself, which
+// NodeDriver runs on every batch in every build.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -287,227 +281,6 @@ TEST(DriverCrashPointTest, EveryKillPointRecoversSafely) {
   EXPECT_GE(kill_points, 10);
 }
 
-// --- async persist: kill points with a volatile WAL tail ---------------------
-
-/// Wal that models a disk losing its unsynced tail at a crash: sync()
-/// checkpoints the materialized image, crash() rolls back to the checkpoint.
-/// MemoryWal cannot express this (its sync() is a no-op), and it is exactly
-/// the exposure async persist opens — staged batches are written here but a
-/// crash before flush_persists() revokes them.
-class VolatileTailWal final : public storage::Wal {
- public:
-  void append(const rpc::LogEntry& entry) override {
-    const LogIndex tail =
-        live_.entries.empty() ? live_.base : live_.entries.back().index;
-    if (entry.index <= tail) {
-      // The core always truncates before rewriting an index.
-      throw std::logic_error("append rewrites index " + std::to_string(entry.index));
-    }
-    if (entry.index > tail + 1) {
-      // Forward gap: the crash lost the compact record from the tail but the
-      // snapshot (saved directly, not via the WAL) survived, and the restart
-      // resumes appending above its boundary. FileWal records such appends
-      // without complaint — recovery reconciles against the snapshot — so
-      // this double rebases the same way.
-      live_.base = entry.index - 1;
-      live_.entries.clear();
-    }
-    live_.entries.push_back(entry);
-  }
-  void append_batch(const std::vector<rpc::LogEntry>& entries) override {
-    for (const auto& e : entries) append(e);
-  }
-  void truncate_from(LogIndex from) override {
-    while (!live_.entries.empty() && live_.entries.back().index >= from) {
-      live_.entries.pop_back();
-    }
-  }
-  void compact_to(LogIndex upto) override {
-    while (!live_.entries.empty() && live_.entries.front().index <= upto) {
-      live_.entries.erase(live_.entries.begin());
-    }
-    live_.base = std::max(live_.base, upto);
-  }
-  void sync() override { synced_ = live_; }
-  std::vector<rpc::LogEntry> recovered() const override { return synced_.entries; }
-
-  /// The process dies: everything since the last sync() is gone.
-  void crash() { live_ = synced_; }
-
- private:
-  struct Image {
-    LogIndex base = 0;
-    std::vector<rpc::LogEntry> entries;
-  };
-  Image live_;
-  Image synced_;
-};
-
-/// Async-mode incarnation. Kill points are phase-event ordinals (the async
-/// drain emits kStaged at pump time and kPersisted/kSent per batch at flush
-/// time, so a (batch, phase) pair no longer names a unique point).
-class AsyncIncarnation {
- public:
-  AsyncIncarnation(storage::MemoryStateStore& store, VolatileTailWal& wal,
-                   storage::MemorySnapshotStore& snaps, std::optional<std::size_t> kill_event)
-      : driver_(store, wal, &snaps,
-                NodeDriver::Options{.group_commit = true, .async_persist = true}) {
-    NodeOptions opts;
-    opts.lease_ratio = 0;
-    opts.vote_guard_ratio = 0;
-    opts.async_persist = true;  // commit rule must wait for ack_persisted()
-    core::EscapeOptions escape;
-    escape.base_time = kQuiet;
-    node_ = std::make_unique<RaftNode>(1, std::vector<ServerId>{1, 2, 3},
-                                       std::make_unique<core::EscapePolicy>(1, 3, escape),
-                                       Rng(7), opts, driver_.recover());
-    driver_.attach(*node_);
-    driver_.hooks().send = [this](const std::vector<rpc::Envelope>& batch) {
-      // The async contract: no message leaves while its batch is staged.
-      EXPECT_TRUE(in_flush_) << "async driver released a send outside flush_persists()";
-      sent_.insert(sent_.end(), batch.begin(), batch.end());
-    };
-    driver_.hooks().phase = [this, kill_event](NodeDriver::Phase phase, const Ready&) {
-      phases_.push_back(phase);
-      if (kill_event && *kill_event == phases_.size() - 1) throw CrashInjected{};
-    };
-  }
-
-  std::size_t run(const std::vector<rpc::Envelope>& script, std::size_t cursor) {
-    node_->start(0);
-    try {
-      settle(0);
-      while (cursor < script.size()) {
-        const auto now = static_cast<TimePoint>(cursor + 1);
-        node_->step(script[cursor], now);
-        ++cursor;
-        settle(now);
-      }
-    } catch (const CrashInjected&) {
-      crashed_ = true;
-    }
-    return cursor;
-  }
-
-  void deliver(const rpc::Envelope& envelope, TimePoint now) {
-    node_->step(envelope, now);
-    settle(now);
-  }
-
-  bool crashed() const { return crashed_; }
-  const std::vector<NodeDriver::Phase>& phases() const { return phases_; }
-  const std::vector<rpc::Envelope>& sent() const { return sent_; }
-  const RaftNode& node() const { return *node_; }
-
- private:
-  /// Pump-and-flush until quiescent: stage whatever the core has, complete
-  /// the persists, and pump again (the durability ack can produce commits).
-  void settle(TimePoint now) {
-    driver_.pump();
-    while (driver_.staged() > 0) {
-      in_flush_ = true;
-      driver_.flush_persists(now);
-      in_flush_ = false;
-      driver_.pump();
-    }
-  }
-
-  NodeDriver driver_;
-  std::unique_ptr<RaftNode> node_;
-  std::vector<rpc::Envelope> sent_;
-  std::vector<NodeDriver::Phase> phases_;
-  bool in_flush_ = false;
-  bool crashed_ = false;
-};
-
-TEST(DriverCrashPointTest, AsyncPersistEveryKillPointRecoversSafely) {
-  const auto script = make_script();
-
-  // Dry run: the full phase-event sequence of a crash-free async drain.
-  std::size_t total_events = 0;
-  std::size_t staged_events = 0;
-  {
-    storage::MemoryStateStore store;
-    VolatileTailWal wal;
-    storage::MemorySnapshotStore snaps;
-    AsyncIncarnation dry(store, wal, snaps, std::nullopt);
-    ASSERT_EQ(dry.run(script, 0), script.size());
-    ASSERT_FALSE(dry.crashed());
-    ASSERT_EQ(dry.node().commit_index(), 7);
-    ASSERT_EQ(dry.node().conf_clock(), 1);
-    total_events = dry.phases().size();
-    for (const auto phase : dry.phases()) {
-      if (phase == NodeDriver::Phase::kStaged) ++staged_events;
-    }
-  }
-  // Every batch stages exactly once, so the staged points alone must cover
-  // the whole scripted life (appends, vote, config, snapshot, post-snapshot).
-  ASSERT_GE(staged_events, 5u);
-  ASSERT_GE(total_events, 3 * staged_events);
-
-  for (std::size_t event = 0; event < total_events; ++event) {
-    storage::MemoryStateStore store;
-    VolatileTailWal wal;
-    storage::MemorySnapshotStore snaps;
-
-    auto first = std::make_unique<AsyncIncarnation>(store, wal, snaps, event);
-    const std::size_t cursor = first->run(script, 0);
-    ASSERT_TRUE(first->crashed()) << "kill event " << event << " never fired";
-    const LogIndex acked = highest_acked(first->sent());
-    const ConfClock advertised = highest_advertised_clock(first->sent());
-    const auto sent_before = first->sent();
-    first.reset();
-    // The process dies and takes the unsynced WAL tail with it. Anything the
-    // dead incarnation staged but never flushed is now gone — which is only
-    // safe because its sends were held.
-    wal.crash();
-
-    auto second = std::make_unique<AsyncIncarnation>(store, wal, snaps, std::nullopt);
-    const auto& node = second->node();
-
-    // The async acked-durability bar: every ack was released after a sync
-    // covering it, so no ack refers into the lost tail.
-    EXPECT_GE(std::max(node.log().last_index(), node.log().base()), acked)
-        << "kill event " << event << ": an ack overclaimed into the unsynced tail";
-
-    // Vote durability: the hard state saves inline even in async mode, and
-    // the grant itself is held until after that save is synced-irrelevant
-    // (MemoryStateStore) — the restart must refuse a rival in the same term.
-    for (const auto& env : sent_before) {
-      const auto* vote = std::get_if<rpc::RequestVoteReply>(&env.message);
-      if (vote == nullptr || !vote->vote_granted) continue;
-      const auto persisted = store.load();
-      ASSERT_TRUE(persisted.has_value());
-      EXPECT_GE(persisted->current_term, vote->term);
-      if (persisted->current_term == vote->term) {
-        EXPECT_EQ(persisted->voted_for, 2u);
-      }
-    }
-
-    // Lemma 3 across an async crash: an advertised conf clock never
-    // regresses (adoption rides the inline hard-state save, not the tail).
-    if (advertised > 0) {
-      const auto persisted = store.load();
-      ASSERT_TRUE(persisted.has_value());
-      EXPECT_GE(persisted->config.conf_clock, advertised);
-    }
-
-    // The survivor finishes the scenario. Unlike the sync-mode test the
-    // replay may NACK inputs whose prerequisites sat in the lost tail; the
-    // scripted snapshot install re-covers indices 1..6 regardless, and the
-    // trailing retransmit of entry 7 stands in for the leader's conflict-
-    // hint driven retry.
-    const std::size_t end = second->run(script, cursor);
-    EXPECT_EQ(end, script.size());
-    EXPECT_FALSE(second->crashed());
-    second->deliver({2, 1, make_append(3, 6, 3, {7}, 7)}, 100);
-    second->deliver({2, 1, make_append(3, 7, 3, {}, 7)}, 101);
-    EXPECT_EQ(second->node().commit_index(), 7) << "kill event " << event;
-    EXPECT_EQ(second->node().log().last_index(), 7) << "kill event " << event;
-    EXPECT_EQ(second->node().conf_clock(), 1) << "kill event " << event;
-  }
-}
-
 // --- joint-consensus crash points --------------------------------------------
 // The same kill-point enumeration, but the script walks a follower through a
 // full joint-consensus handoff: Cold,new (joint) then Cnew as configuration
@@ -611,8 +384,9 @@ TEST(DriverCrashPointTest, JointConfigEveryKillPointRecoversMembership) {
 }
 
 // --- the persist-before-send checker, tested directly ------------------------
-// ReadySequenceChecker is always compiled (NDEBUG only gates whether
-// NodeDriver invokes it), so these negative tests run in release CI too.
+// NodeDriver runs ReadySequenceChecker on every batch in every build (Release,
+// sanitizers, SimCheck, the soak, perfbench); these negative tests pin down
+// what it rejects.
 
 Ready append_and_ack_batch() {
   Ready rd;
@@ -715,11 +489,10 @@ TEST(ReadySequenceCheckerTest, SeededFromBootstrapCoversRecoveredState) {
 }
 
 TEST(ReadySequenceCheckerTest, AsyncStagedSendsOverclaimUntilFlushedInOrder) {
-  // Models the async driver's completion queue: batches A then B are staged
-  // (written, unsynced, sends held); flush_persists() notes and releases them
-  // FIFO. A buggy driver that releases a batch's sends before its persistence
-  // is noted — or releases B while only A flushed — overclaims durability and
-  // must be caught.
+  // Two batches A then B whose writes are issued but not yet durable: a
+  // driver that releases a batch's sends before its persistence is noted —
+  // or releases B while only A is durable — overclaims durability and must
+  // be caught. Batches become durable in order.
   ReadySequenceChecker checker;
   checker.seed(Bootstrap{});
 
@@ -763,9 +536,9 @@ TEST(ReadySequenceCheckerTest, AsyncStagedSendsOverclaimUntilFlushedInOrder) {
 }
 
 TEST(ReadySequenceCheckerTest, AsyncLeaderShipmentOverclaimIsCaught) {
-  // A pipelining leader's own AppendEntries ships the entries it just staged
-  // (it counts itself toward their quorum). In async mode that shipment is an
-  // overclaim until the covering sync: the checker rejects it at check_send.
+  // A pipelining leader's own AppendEntries ships the entries it just wrote
+  // (it counts itself toward their quorum). Before the covering sync that
+  // shipment is an overclaim: the checker rejects it at check_send.
   ReadySequenceChecker checker;
   Bootstrap boot;
   HardState hs;

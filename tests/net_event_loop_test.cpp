@@ -458,5 +458,48 @@ TEST(EventLoopRobustnessTest, SurvivesEintrOnRecvSendAndAccept) {
   echo.loop.stop();
 }
 
+std::atomic<int> g_loop_zero_budget{0};
+
+ssize_t zero_once_send(int fd, const void* buf, std::size_t len, int flags) {
+  if (g_loop_zero_budget.fetch_sub(1) > 0) {
+    errno = ECONNRESET;  // stale: errno means nothing after a 0 return
+    return 0;
+  }
+  return ::send(fd, buf, len, flags);
+}
+
+TEST(EventLoopRobustnessTest, ZeroByteSendIsRetriedWithoutAWritabilityEdge) {
+  // A 0-byte send() leaves the socket writable, so no EPOLLOUT edge follows
+  // it. Here the connection's writability edges are spent and the loop is
+  // idle when a frame is queued and its flush returns 0: only a retry the
+  // loop schedules itself can deliver it.
+  HookScope hooks;
+  g_loop_zero_budget.store(0);
+  testhooks::send_fn = &zero_once_send;
+  const BoundListener listener = bind_loopback_listener(0);
+  EventLoop loop(EventLoop::Handler{});
+  loop.start();
+  const EventLoop::ConnId conn = loop.connect(listener.port);
+  ASSERT_NE(conn, 0u);
+  int peer = -1;
+  for (int i = 0; i < 500 && peer < 0; ++i) {
+    peer = ::accept(listener.fd, nullptr, nullptr);
+    if (peer < 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(peer, 0);
+
+  const std::vector<std::uint8_t> first = {1}, second = {2, 2};
+  loop.send(conn, rpc::frame_payload(first));
+  ASSERT_EQ(read_frames(peer, 1), std::vector<std::vector<std::uint8_t>>{first});
+  g_loop_zero_budget.store(1);
+  loop.send(conn, rpc::frame_payload(second));
+  EXPECT_EQ(read_frames(peer, 1), std::vector<std::vector<std::uint8_t>>{second})
+      << "frame queued behind a 0-byte send() was never retried";
+  EXPECT_LE(g_loop_zero_budget.load(), 0);
+  ::close(peer);
+  ::close(listener.fd);
+  loop.stop();
+}
+
 }  // namespace
 }  // namespace escape::net

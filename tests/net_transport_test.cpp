@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <csignal>
 #include <filesystem>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -23,6 +24,8 @@
 #include "net/event_loop.h"
 #include "net/real_cluster.h"
 #include "net/tcp_transport.h"
+#include "rpc/wire.h"
+#include "storage/wal.h"
 
 namespace escape::net {
 namespace {
@@ -74,12 +77,15 @@ struct Mailbox {
   std::condition_variable cv;
   std::vector<rpc::Envelope> messages;
 
-  void push(const rpc::Envelope& env) {
-    {
-      std::lock_guard lock(mu);
-      messages.push_back(env);
-    }
-    cv.notify_all();
+  /// A transport deliver callback appending each burst here.
+  TcpTransport::DeliverFn sink() {
+    return [this](std::vector<rpc::Envelope>&& burst) {
+      {
+        std::lock_guard lock(mu);
+        for (auto& env : burst) messages.push_back(std::move(env));
+      }
+      cv.notify_all();
+    };
   }
 
   bool wait_for_count(std::size_t n, std::chrono::milliseconds timeout) {
@@ -91,9 +97,9 @@ struct Mailbox {
 TEST(TcpTransportTest, DeliversBetweenTwoEndpoints) {
   Port0Cluster ports({1, 2});
   Mailbox inbox1, inbox2;
-  TcpTransport t1(1, ports.endpoints, [&](const rpc::Envelope& e) { inbox1.push(e); },
+  TcpTransport t1(1, ports.endpoints, inbox1.sink(),
                   ports.options_for(1));
-  TcpTransport t2(2, ports.endpoints, [&](const rpc::Envelope& e) { inbox2.push(e); },
+  TcpTransport t2(2, ports.endpoints, inbox2.sink(),
                   ports.options_for(2));
   t1.start();
   t2.start();
@@ -116,8 +122,8 @@ TEST(TcpTransportTest, DeliversBetweenTwoEndpoints) {
 TEST(TcpTransportTest, ManyMessagesArriveInOrder) {
   Port0Cluster ports({1, 2});
   Mailbox inbox;
-  TcpTransport t1(1, ports.endpoints, [](const rpc::Envelope&) {}, ports.options_for(1));
-  TcpTransport t2(2, ports.endpoints, [&](const rpc::Envelope& e) { inbox.push(e); },
+  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
+  TcpTransport t2(2, ports.endpoints, inbox.sink(),
                   ports.options_for(2));
   t1.start();
   t2.start();
@@ -137,7 +143,7 @@ TEST(TcpTransportTest, ManyMessagesArriveInOrder) {
 
 TEST(TcpTransportTest, SendToUnknownPeerDrops) {
   Port0Cluster ports({1});
-  TcpTransport t1(1, ports.endpoints, [](const rpc::Envelope&) {}, ports.options_for(1));
+  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
   t1.start();
   t1.send({1, 99, probe_message(1)});
   EXPECT_EQ(t1.stats().dropped.load(), 1u);
@@ -149,7 +155,7 @@ TEST(TcpTransportTest, SendToDeadPeerDoesNotBlock) {
   // Peer 2's port has no listener.
   auto endpoints = ports.endpoints;
   endpoints[2] = dead_port();
-  TcpTransport t1(1, endpoints, [](const rpc::Envelope&) {}, ports.options_for(1));
+  TcpTransport t1(1, endpoints, nullptr, ports.options_for(1));
   t1.start();
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 100; ++i) t1.send({1, 2, probe_message(i)});
@@ -159,13 +165,13 @@ TEST(TcpTransportTest, SendToDeadPeerDoesNotBlock) {
 }
 
 TEST(TcpTransportTest, RequiresSelfEndpoint) {
-  EXPECT_THROW(TcpTransport(1, {{2, 1234}}, [](const rpc::Envelope&) {}),
+  EXPECT_THROW(TcpTransport(1, {{2, 1234}}, nullptr),
                std::invalid_argument);
 }
 
 TEST(TcpTransportTest, StopIsIdempotent) {
   Port0Cluster ports({1});
-  TcpTransport t1(1, ports.endpoints, [](const rpc::Envelope&) {}, ports.options_for(1));
+  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
   t1.start();
   t1.stop();
   t1.stop();  // second stop is a no-op
@@ -249,8 +255,8 @@ TEST(TcpTransportRobustnessTest, SurvivesEintrDuringRecv) {
 
   Port0Cluster ports({1, 2});
   Mailbox inbox;
-  TcpTransport t1(1, ports.endpoints, [](const rpc::Envelope&) {}, ports.options_for(1));
-  TcpTransport t2(2, ports.endpoints, [&](const rpc::Envelope& e) { inbox.push(e); },
+  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
+  TcpTransport t2(2, ports.endpoints, inbox.sink(),
                   ports.options_for(2));
   t1.start();
   t2.start();
@@ -278,8 +284,8 @@ TEST(TcpTransportRobustnessTest, SurvivesEintrAndShortWritesDuringSend) {
 
   Port0Cluster ports({1, 2});
   Mailbox inbox;
-  TcpTransport t1(1, ports.endpoints, [](const rpc::Envelope&) {}, ports.options_for(1));
-  TcpTransport t2(2, ports.endpoints, [&](const rpc::Envelope& e) { inbox.push(e); },
+  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
+  TcpTransport t2(2, ports.endpoints, inbox.sink(),
                   ports.options_for(2));
   t1.start();
   t2.start();
@@ -303,8 +309,8 @@ TEST(TcpTransportRobustnessTest, ZeroByteSendDoesNotActOnStaleErrno) {
 
   Port0Cluster ports({1, 2});
   Mailbox inbox;
-  TcpTransport t1(1, ports.endpoints, [](const rpc::Envelope&) {}, ports.options_for(1));
-  TcpTransport t2(2, ports.endpoints, [&](const rpc::Envelope& e) { inbox.push(e); },
+  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
+  TcpTransport t2(2, ports.endpoints, inbox.sink(),
                   ports.options_for(2));
   t1.start();
   t2.start();
@@ -326,8 +332,8 @@ TEST(TcpTransportRobustnessTest, SurvivesEintrDuringAccept) {
 
   Port0Cluster ports({1, 2});
   Mailbox inbox;
-  TcpTransport t1(1, ports.endpoints, [](const rpc::Envelope&) {}, ports.options_for(1));
-  TcpTransport t2(2, ports.endpoints, [&](const rpc::Envelope& e) { inbox.push(e); },
+  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
+  TcpTransport t2(2, ports.endpoints, inbox.sink(),
                   ports.options_for(2));
   t1.start();
   t2.start();
@@ -349,8 +355,8 @@ TEST(TcpTransportRobustnessTest, FramesSurviveTinySendBuffer) {
 
   Port0Cluster ports({1, 2});
   Mailbox inbox;
-  TcpTransport t1(1, ports.endpoints, [](const rpc::Envelope&) {}, ports.options_for(1, tiny));
-  TcpTransport t2(2, ports.endpoints, [&](const rpc::Envelope& e) { inbox.push(e); },
+  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1, tiny));
+  TcpTransport t2(2, ports.endpoints, inbox.sink(),
                   ports.options_for(2, tiny));
   t1.start();
   t2.start();
@@ -551,6 +557,123 @@ TEST(RealClusterTest, DurableStateSurvivesRestart) {
   EXPECT_GE(restarted.commit_index(), 1);  // WAL replayed the entry
   restarted.stop();
   std::filesystem::remove_all(dir);
+}
+
+// --- send before the next fsync ----------------------------------------------
+// Each Ready batch's messages must reach the socket write() before the next
+// batch's WAL sync on the same loop: followers then persist batch N while the
+// leader syncs batch N+1, instead of every AppendEntries waiting out one more
+// fsync. The send seam counts, per loop thread, the complete frames handed
+// to send(); a WAL whose sync() compares that count with the frames the
+// loop has queued so far catches a batch whose messages still sit in an
+// output ring. Compaction puts a second synced batch into the drain that
+// applied (and acked) the entries, so the rule is exercised inside one
+// drain, not only across loop iterations.
+
+thread_local std::map<int, rpc::FrameReader> t_send_streams;
+thread_local std::uint64_t t_frames_written = 0;
+
+ssize_t frame_counting_send(int fd, const void* buf, std::size_t len, int flags) {
+  const ssize_t n = ::send(fd, buf, len, flags);
+  if (n > 0) {
+    auto& stream = t_send_streams[fd];
+    stream.feed(static_cast<const std::uint8_t*>(buf), static_cast<std::size_t>(n));
+    while (stream.next()) ++t_frames_written;
+  }
+  return n;
+}
+
+/// MemoryWal whose sync() (on the loop thread) checks that every frame the
+/// node's loop queued so far was already written.
+class SendCheckingWal final : public storage::Wal {
+ public:
+  explicit SendCheckingWal(const std::atomic<bool>& armed) : armed_(armed) {}
+
+  void append(const rpc::LogEntry& entry) override { wal_.append(entry); }
+  void append_batch(const std::vector<rpc::LogEntry>& entries) override {
+    wal_.append_batch(entries);
+  }
+  void truncate_from(LogIndex from) override { wal_.truncate_from(from); }
+  void compact_to(LogIndex upto) override { wal_.compact_to(upto); }
+  std::vector<rpc::LogEntry> recovered() const override { return wal_.recovered(); }
+  void sync() override {
+    if (!armed_.load()) return;
+    syncs.fetch_add(1);
+    if (t_frames_written != loop->stats().frames_out.load()) unsent_at_sync.fetch_add(1);
+  }
+
+  const EventLoop* loop = nullptr;  ///< set before start()
+  std::atomic<int> syncs{0};
+  std::atomic<int> unsent_at_sync{0};
+
+ private:
+  const std::atomic<bool>& armed_;
+  storage::MemoryWal wal_;
+};
+
+TEST(RealClusterTest, EachBatchReachesTheSocketsBeforeTheNextSync) {
+  HookScope hooks;
+  testhooks::send_fn = &frame_counting_send;
+  Port0Cluster ports({1, 2, 3});
+  std::atomic<bool> armed{false};
+
+  std::vector<SendCheckingWal*> wals;
+  std::vector<std::unique_ptr<RealNode>> nodes;
+  for (ServerId id = 1; id <= 3; ++id) {
+    RealNode::Options options;
+    options.node.heartbeat_interval = from_ms(60);
+    options.listen_fd = ports.fds[id];
+    Stores stores = open_stores(id, "");
+    auto wal = std::make_unique<SendCheckingWal>(armed);
+    wals.push_back(wal.get());
+    stores.wal = std::move(wal);
+    nodes.push_back(
+        std::make_unique<RealNode>(id, ports.endpoints, fast_escape(), options, std::move(stores)));
+    wals.back()->loop = &nodes.back()->loop();
+    nodes.back()->set_snapshot_hook([] { return std::vector<std::uint8_t>(16, 0x5A); });
+  }
+  for (auto& node : nodes) node->start();
+  const ServerId leader = wait_for_leader(nodes, 5000ms);
+  ASSERT_NE(leader, kNoServer);
+  RealNode& l = *nodes[leader - 1];
+
+  const auto wait_commit = [&](LogIndex index) {
+    const auto deadline = std::chrono::steady_clock::now() + 10000ms;
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (std::all_of(nodes.begin(), nodes.end(),
+                      [&](const auto& node) { return node->commit_index() >= index; })) {
+        return true;
+      }
+      std::this_thread::sleep_for(5ms);
+    }
+    return false;
+  };
+  // Warm-up: once every replica learned a commit, every link that steady
+  // replication uses is connected (frames queued on a connection still
+  // connecting legitimately wait for its first writability edge).
+  const auto first = l.submit({1});
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(wait_commit(*first));
+  armed.store(true);
+
+  // ~200 KiB through a 64 KiB compaction threshold: several compactions per
+  // replica.
+  std::optional<LogIndex> last;
+  for (int i = 0; i < 200; ++i) {
+    last = l.submit(std::vector<std::uint8_t>(1024, static_cast<std::uint8_t>(i)));
+    ASSERT_TRUE(last.has_value());
+    if (i % 10 == 9) std::this_thread::sleep_for(2ms);
+  }
+  ASSERT_TRUE(wait_commit(*last));
+  armed.store(false);
+  for (auto& node : nodes) node->stop();
+
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_GE(nodes[i]->counters().snapshots_taken, 2u) << server_name(nodes[i]->id());
+    EXPECT_GT(wals[i]->syncs.load(), 2) << server_name(nodes[i]->id());
+    EXPECT_EQ(wals[i]->unsent_at_sync.load(), 0)
+        << server_name(nodes[i]->id()) << " synced with frames still queued";
+  }
 }
 
 }  // namespace

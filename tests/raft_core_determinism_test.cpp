@@ -27,11 +27,9 @@ struct Input {
     kTick,
     kSubmit,
     kSubmitRead,
-    kAckPersisted,  ///< async-persist durability completion
   } kind = Kind::kTick;
   rpc::Envelope envelope;             ///< kMessage
   std::vector<std::uint8_t> command;  ///< kSubmit
-  LogIndex durable = 0;               ///< kAckPersisted
   TimePoint now = 0;
 };
 
@@ -176,9 +174,6 @@ std::vector<Input> make_pipelined_script(std::uint64_t seed, int steps) {
       m.status.log_index = rng.uniform_int(0, horizon);
       in.kind = Input::Kind::kMessage;
       in.envelope = {m.from, 1, m};
-    } else if (roll < 0.88) {
-      in.kind = Input::Kind::kAckPersisted;
-      in.durable = rng.uniform_int(0, horizon);
     } else {
       in.kind = Input::Kind::kTick;
     }
@@ -230,9 +225,6 @@ std::string run_script(const std::vector<Input>& script, std::uint64_t rng_seed,
       case Input::Kind::kSubmitRead:
         node->submit_read(in.now);
         break;
-      case Input::Kind::kAckPersisted:
-        node->ack_persisted(in.durable, in.now);
-        break;
     }
     drain(*node, applied, out);
   }
@@ -268,8 +260,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CoreDeterminismTest,
 
 // --- pipelined-input storms ---------------------------------------------------
 // Same contract, but over the replication fast path: tight windows, byte
-// budgets that force mid-batch trims, probe-mode churn from random NACKs, and
-// (second variant) the async-persist commit rule driven by ack_persisted.
+// budgets that force mid-batch trims, and probe-mode churn from random NACKs.
 // Map iteration order over Progress, histogram bucketing and the optimistic
 // next/inflight bookkeeping all sit on this path — any hidden nondeterminism
 // there shows up as diverging fingerprints.
@@ -292,20 +283,6 @@ TEST_P(PipelinedDeterminismTest, StormYieldsIdenticalReadyStreams) {
   EXPECT_EQ(first, second);
   // The storm must actually commit through the pipeline — a stream that is
   // identical because nothing happened proves nothing.
-  EXPECT_EQ(first.find(" commit=0 "), std::string::npos);
-}
-
-TEST_P(PipelinedDeterminismTest, AsyncPersistStormYieldsIdenticalReadyStreams) {
-  // With async_persist the leader's own entry only counts toward commit once
-  // ack_persisted covers it, so the scripted acks actively gate commit
-  // advancement — the exact interleaving the async driver produces.
-  const auto script = make_pipelined_script(GetParam(), 2000);
-  NodeOptions opts = pipelined_options();
-  opts.async_persist = true;
-  const std::string first = run_script(script, GetParam() ^ 0xD00D, opts);
-  const std::string second = run_script(script, GetParam() ^ 0xD00D, opts);
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
   EXPECT_EQ(first.find(" commit=0 "), std::string::npos);
 }
 
@@ -334,19 +311,6 @@ TEST(ReadyLifecycleTest, InputBetweenReadyAndAdvanceThrows) {
   EXPECT_THROW(node->step({2, 1, rpc::RequestVoteReply{}}, kMax + 2), std::logic_error);
   node->advance(node->last_applied());  // recovers; inputs flow again
   node->tick(kMax + 2);
-}
-
-TEST(ReadyLifecycleTest, AckPersistedBetweenReadyAndAdvanceThrows) {
-  // The durability ack is an input like any other: the completion queue may
-  // not inject it mid-drain.
-  auto node = make_core(9);
-  node->start(0);
-  node->tick(kMax + 1);
-  ASSERT_TRUE(node->has_ready());
-  (void)node->ready();
-  EXPECT_THROW(node->ack_persisted(1, kMax + 2), std::logic_error);
-  node->advance(node->last_applied());
-  node->ack_persisted(1, kMax + 2);  // flows again after the drain completes
 }
 
 TEST(ReadyLifecycleTest, AdvanceWithoutBatchThrows) {

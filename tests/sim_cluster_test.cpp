@@ -131,31 +131,6 @@ TEST(SimClusterTest, EventLogClearKeepsListeners) {
   EXPECT_GT(events, before);  // listener still firing after the clear
 }
 
-TEST(SimClusterTest, AsyncPersistClusterCommitsAndStaysConsistent) {
-  // Opting the drivers into async persist flips the whole cluster onto the
-  // staged-flush path (SimCluster forces NodeOptions::async_persist to match,
-  // so the commit rule waits for the durability acks). Traffic must still
-  // commit and apply identically on every member.
-  auto options = paper_escape_cluster(3, 21);
-  options.driver.async_persist = true;
-  SimCluster cluster(options);
-  ASSERT_NE(sim::bootstrap(cluster), kNoServer);
-  sim::drive_traffic(cluster, from_ms(1'500), from_ms(100));
-  const LogIndex commit = cluster.node(cluster.leader()).commit_index();
-  ASSERT_GT(commit, 0);
-  ASSERT_TRUE(cluster.run_until_applied(commit, cluster.loop().now() + from_ms(10'000)));
-  for (ServerId id : cluster.members()) {
-    EXPECT_GE(cluster.node(id).commit_index(), commit) << server_name(id);
-    ASSERT_GE(cluster.applied(id).size(), static_cast<std::size_t>(commit))
-        << server_name(id);
-    // Every member applied the same committed prefix (members may run ahead
-    // of the sampled commit point as trailing acks land).
-    for (std::size_t i = 0; i < static_cast<std::size_t>(commit); ++i) {
-      ASSERT_EQ(cluster.applied(id)[i], cluster.applied(1)[i]) << server_name(id);
-    }
-  }
-}
-
 TEST(SimClusterTest, DeterministicReplay) {
   // Identical options + seed => bit-identical event history.
   auto run_once = [] {

@@ -1,12 +1,12 @@
-// Model-based fuzz test: storage::Log against a trivial reference model
+// Model-based fuzz test: raft::Log against a trivial reference model
 // (std::vector of entries with a compaction base), over thousands of random
 // operation sequences.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "storage/log.h"
+#include "raft/log.h"
 
-namespace escape::storage {
+namespace escape::raft {
 namespace {
 
 /// Obviously-correct reference implementation.
@@ -156,4 +156,4 @@ TEST(LogModelTest, UpToDateTotalOrderIsConsistent) {
 }
 
 }  // namespace
-}  // namespace escape::storage
+}  // namespace escape::raft

@@ -1,10 +1,10 @@
-#include "storage/log.h"
+#include "raft/log.h"
 
 #include <gtest/gtest.h>
 
 #include <random>
 
-namespace escape::storage {
+namespace escape::raft {
 namespace {
 
 rpc::LogEntry entry(Term t, LogIndex i) {
@@ -212,4 +212,4 @@ TEST(LogTest, ApproxBytesMatchesRecomputationAfterRandomOps) {
 }
 
 }  // namespace
-}  // namespace escape::storage
+}  // namespace escape::raft

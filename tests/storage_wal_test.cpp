@@ -172,13 +172,6 @@ TEST_F(FileWalTest, ReopenAppendReopen) {
   EXPECT_EQ(wal.recovered_entries().size(), 2u);
 }
 
-TEST_F(FileWalTest, SyncEveryRecordMode) {
-  FileWal wal(wal_path(), /*sync_every_record=*/true);
-  for (LogIndex i = 1; i <= 3; ++i) wal.append(entry(1, i));
-  FileWal reopened(wal_path());
-  EXPECT_EQ(reopened.recovered_entries().size(), 3u);
-}
-
 TEST_F(FileWalTest, AppendBatchRecoversAllRecords) {
   {
     FileWal wal(wal_path());
@@ -226,15 +219,6 @@ TEST_F(FileWalTest, TornTailInsideBatchRecoversPrefix) {
   FileWal again(wal_path());
   ASSERT_EQ(again.recovered_entries().size(), recovered.size() + 1);
   EXPECT_EQ(again.recovered_entries().back().term, 2);
-}
-
-TEST_F(FileWalTest, SyncEveryRecordBatchStillRecovers) {
-  {
-    FileWal wal(wal_path(), /*sync_every_record=*/true);
-    wal.append_batch({entry(1, 1), entry(1, 2), entry(1, 3)});
-  }
-  FileWal reopened(wal_path());
-  EXPECT_EQ(reopened.recovered_entries().size(), 3u);
 }
 
 TEST_F(FileWalTest, TruncateToEmptyThenRebuild) {
