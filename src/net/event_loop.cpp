@@ -28,6 +28,9 @@ constexpr std::uint64_t kListenerTag = std::uint64_t{1} << 63;
 
 constexpr std::size_t kFrameHeaderBytes = 2 + 1 + 1 + 4 + 4;
 
+// recv() chunk requested per call.
+constexpr std::size_t kReadChunk = std::size_t{1} << 16;
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -172,7 +175,12 @@ EventLoop::EventLoop(Handler handler, Options options) {
   register_fd(wake_fd_, kWakeTag);
 }
 
-EventLoop::~EventLoop() { stop(); }
+EventLoop::~EventLoop() {
+  stop();
+  // Closed only here: post() may still write the eventfd while stop() runs.
+  ::close(wake_fd_);
+  ::close(epoll_fd_);
+}
 
 void EventLoop::register_fd(int fd, std::uint64_t tag) {
   epoll_event ev{};
@@ -187,6 +195,8 @@ void EventLoop::register_fd(int fd, std::uint64_t tag) {
 }
 
 void EventLoop::apply_socket_options(int fd, const Options& options) {
+  set_nonblocking(fd);
+  set_nodelay(fd);
   if (options.sndbuf > 0) {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options.sndbuf, sizeof(options.sndbuf));
   }
@@ -196,7 +206,7 @@ void EventLoop::apply_socket_options(int fd, const Options& options) {
 }
 
 EventLoop::ServiceId EventLoop::add_service(Handler handler, Options options) {
-  if (running_.load()) throw std::logic_error("EventLoop::add_service() after start()");
+  if (thread_.joinable()) throw std::logic_error("EventLoop::add_service() after start()");
   auto service = std::make_unique<Service>();
   service->handler = std::move(handler);
   service->options = options;
@@ -217,43 +227,118 @@ void EventLoop::listen(BoundListener listener, ServiceId id) {
 void EventLoop::set_tick(std::function<Duration()> tick) { tick_ = std::move(tick); }
 
 void EventLoop::start() {
-  running_.store(true);
+  {
+    std::lock_guard lock(mu_);
+    phase_ = Phase::kRunning;
+  }
   thread_ = std::thread([this] { run(); });
+  loop_tid_.store(thread_.get_id());
 }
 
 void EventLoop::stop() {
-  const bool was_running = running_.exchange(false);
-  if (was_running) {
+  {
+    std::lock_guard lock(mu_);
+    if (phase_ == Phase::kRunning) phase_ = Phase::kStopping;
+  }
+  if (thread_.joinable()) {
     wake();
-    if (thread_.joinable()) thread_.join();
+    thread_.join();
   }
-  std::lock_guard lock(mu_);
-  for (auto& [id, conn] : conns_) {
-    if (conn->fd >= 0) ::close(conn->fd);
+  // This thread stands in for the loop thread: it runs what was posted while
+  // the loop was exiting until the queue stays empty; from then on post()
+  // and call() run inline.
+  loop_tid_.store(std::this_thread::get_id());
+  for (;;) {
+    std::vector<std::function<void()>> tasks;
+    {
+      std::lock_guard lock(mu_);
+      if (tasks_.empty()) {
+        phase_ = Phase::kIdle;
+        break;
+      }
+      tasks.swap(tasks_);
+    }
+    for (auto& task : tasks) task();
   }
+  loop_tid_.store(std::thread::id());
+  for (auto& [id, conn] : conns_) ::close(conn->fd);
   conns_.clear();
   flush_queue_.clear();
   for (auto& service : services_) {
     if (service->listen_fd >= 0) ::close(service->listen_fd);
     service->listen_fd = -1;
   }
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  wake_fd_ = -1;
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  epoll_fd_ = -1;
 }
 
-void EventLoop::wake() {
+bool EventLoop::enqueue(std::function<void()>& task) const {
+  bool was_empty;
+  {
+    std::lock_guard lock(mu_);
+    if (phase_ == Phase::kIdle) return false;
+    was_empty = tasks_.empty();
+    tasks_.push_back(std::move(task));
+  }
+  // A non-empty queue already has a wake pending.
+  if (was_empty) wake();
+  return true;
+}
+
+void EventLoop::post(std::function<void()> task) const {
+  if (!enqueue(task)) task();
+}
+
+bool EventLoop::run_posted() {
+  std::vector<std::function<void()>> tasks;
+  {
+    std::lock_guard lock(mu_);
+    if (phase_ != Phase::kRunning) return false;
+    tasks.swap(tasks_);
+  }
+  for (auto& task : tasks) task();
+  return true;
+}
+
+void EventLoop::wake() const {
   const std::uint64_t one = 1;
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
+void EventLoop::check_loop_thread(const char* member) const {
+  const std::thread::id loop = loop_tid_.load();
+  if (loop != std::thread::id() && loop != std::this_thread::get_id()) {
+    throw std::logic_error(std::string("EventLoop::") + member +
+                           " called off the loop thread; post() it instead");
+  }
+}
+
+EventLoop::ConnId EventLoop::adopt(int fd, Service* service, bool inbound) {
+  try {
+    register_fd(fd, next_id_);
+  } catch (const std::runtime_error&) {
+    ::close(fd);
+    return 0;
+  }
+  auto conn = std::make_unique<Conn>();
+  conn->fd = fd;
+  conn->id = next_id_++;
+  conn->service = service;
+  // Even an instantly-successful loopback connect() goes through the
+  // "connecting" state: registering with EPOLLET reports current readiness
+  // as an initial edge, so the loop's first EPOLLOUT completes the connect
+  // and fires on_open uniformly on the loop thread.
+  conn->connecting = !inbound;
+  const ConnId id = conn->id;
+  conns_.emplace(id, std::move(conn));
+  (inbound ? service->stats.accepted : service->stats.connected)
+      .fetch_add(1, std::memory_order_relaxed);
+  return id;
+}
+
 EventLoop::ConnId EventLoop::connect(std::uint16_t port) {
+  check_loop_thread("connect()");
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return 0;
   Service* service = services_.front().get();
-  set_nonblocking(fd);
-  set_nodelay(fd);
   apply_socket_options(fd, service->options);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -264,97 +349,58 @@ EventLoop::ConnId EventLoop::connect(std::uint16_t port) {
     ::close(fd);
     return 0;
   }
-  auto conn = std::make_unique<Conn>();
-  conn->fd = fd;
-  conn->id = next_id_.fetch_add(1);
-  conn->service = service;
-  conn->inbound = false;
-  // Even an instantly-successful loopback connect() goes through the
-  // "connecting" state: registering with EPOLLET reports current readiness
-  // as an initial edge, so the loop's first EPOLLOUT completes the connect
-  // and fires on_open uniformly on the loop thread.
-  conn->connecting.store(true, std::memory_order_relaxed);
-  const ConnId id = conn->id;
-  {
-    std::lock_guard lock(mu_);
-    conns_.emplace(id, std::move(conn));
-  }
-  try {
-    register_fd(fd, id);
-  } catch (const std::runtime_error&) {
-    std::lock_guard lock(mu_);
-    conns_.erase(id);
-    ::close(fd);
-    return 0;
-  }
-  service->stats.connected.fetch_add(1, std::memory_order_relaxed);
-  return id;
+  return adopt(fd, service, /*inbound=*/false);
 }
 
 EventLoop::SendResult EventLoop::send(ConnId id, const std::vector<std::uint8_t>& frame) {
-  bool need_wake = false;
-  {
-    std::lock_guard lock(mu_);
-    Conn* conn = find_locked(id);
-    if (!conn || conn->doomed.load(std::memory_order_relaxed)) return SendResult::kClosed;
-    const Options& options = conn->service->options;
-    if (conn->out.size() + frame.size() > options.max_outbuf_bytes) {
-      if (options.evict_on_overflow) {
-        // Slow client: its output ring is full because it stopped reading.
-        // Cut it loose rather than let it pin server memory.
-        conn->service->stats.evicted_slow.fetch_add(1, std::memory_order_relaxed);
-        conn->doomed.store(true, std::memory_order_relaxed);
-        if (!conn->want_flush) {
-          conn->want_flush = true;
-          flush_queue_.push_back(id);
-        }
-        need_wake = !on_loop_thread();
-      }
-      if (need_wake) wake();
-      return SendResult::kOverflow;
+  check_loop_thread("send()");
+  Conn* conn = find(id);
+  if (!conn || conn->doomed) return SendResult::kClosed;
+  const Options& options = conn->service->options;
+  if (conn->out.size() + frame.size() > options.max_outbuf_bytes) {
+    if (options.evict_on_overflow) {
+      // Slow client: its output ring is full because it stopped reading.
+      // Cut it loose rather than let it pin server memory.
+      conn->service->stats.evicted_slow.fetch_add(1, std::memory_order_relaxed);
+      conn->doomed = true;
+      queue_flush(conn);
     }
-    conn->out.append(frame.data(), frame.size());
-    conn->service->stats.frames_out.fetch_add(1, std::memory_order_relaxed);
-    if (!conn->want_flush) {
-      conn->want_flush = true;
-      flush_queue_.push_back(id);
-      need_wake = !on_loop_thread();
-    }
+    return SendResult::kOverflow;
   }
-  // Off-loop senders wake the loop; on the loop thread the end-of-iteration
-  // flush pass picks the connection up, coalescing many frames per write().
-  if (need_wake) wake();
+  conn->out.append(frame.data(), frame.size());
+  conn->service->stats.frames_out.fetch_add(1, std::memory_order_relaxed);
+  // The end-of-iteration flush pass picks the connection up, coalescing many
+  // frames per write().
+  queue_flush(conn);
   return SendResult::kOk;
 }
 
 void EventLoop::close(ConnId id) {
-  bool need_wake = false;
-  {
-    std::lock_guard lock(mu_);
-    Conn* conn = find_locked(id);
-    if (!conn || conn->doomed.load(std::memory_order_relaxed)) return;
-    conn->doomed.store(true, std::memory_order_relaxed);
-    if (!conn->want_flush) {
-      conn->want_flush = true;
-      flush_queue_.push_back(id);
-    }
-    need_wake = !on_loop_thread();
-  }
-  if (need_wake) wake();
+  check_loop_thread("close()");
+  Conn* conn = find(id);
+  if (!conn || conn->doomed) return;
+  conn->doomed = true;
+  queue_flush(conn);
+}
+
+void EventLoop::queue_flush(Conn* conn) {
+  if (conn->want_flush) return;
+  conn->want_flush = true;
+  flush_queue_.push_back(conn->id);
 }
 
 std::size_t EventLoop::outbuf_bytes(ConnId id) const {
-  std::lock_guard lock(mu_);
-  const auto it = conns_.find(id);
-  return it == conns_.end() ? 0 : it->second->out.size();
+  check_loop_thread("outbuf_bytes()");
+  const Conn* conn = find(id);
+  return conn ? conn->out.size() : 0;
 }
 
 std::size_t EventLoop::connection_count() const {
-  std::lock_guard lock(mu_);
+  check_loop_thread("connection_count()");
   return conns_.size();
 }
 
-EventLoop::Conn* EventLoop::find_locked(ConnId id) {
+EventLoop::Conn* EventLoop::find(ConnId id) const {
   const auto it = conns_.find(id);
   return it == conns_.end() ? nullptr : it->second.get();
 }
@@ -369,29 +415,9 @@ void EventLoop::accept_ready(Service* service) {
       }
       break;
     }
-    set_nonblocking(fd);
-    set_nodelay(fd);
     apply_socket_options(fd, service->options);
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    conn->id = next_id_.fetch_add(1);
-    conn->service = service;
-    conn->inbound = true;
-    const ConnId id = conn->id;
-    {
-      std::lock_guard lock(mu_);
-      conns_.emplace(id, std::move(conn));
-    }
-    try {
-      register_fd(fd, id);
-    } catch (const std::runtime_error&) {
-      std::lock_guard lock(mu_);
-      conns_.erase(id);
-      ::close(fd);
-      continue;
-    }
-    service->stats.accepted.fetch_add(1, std::memory_order_relaxed);
-    if (service->handler.on_open) service->handler.on_open(id, true);
+    const ConnId id = adopt(fd, service, /*inbound=*/true);
+    if (id != 0 && service->handler.on_open) service->handler.on_open(id, true);
   }
 }
 
@@ -399,7 +425,7 @@ void EventLoop::read_ready(Conn* conn) {
   Service& service = *conn->service;
   bool peer_closed = false;
   for (;;) {
-    auto [buf, cap] = conn->in.tail_span(service.options.read_chunk);
+    auto [buf, cap] = conn->in.tail_span(kReadChunk);
     const ssize_t n = testhooks::recv_fn(conn->fd, buf, cap, 0);
     if (n > 0) {
       conn->in.produce(static_cast<std::size_t>(n));
@@ -431,7 +457,6 @@ void EventLoop::read_ready(Conn* conn) {
 }
 
 void EventLoop::flush_conn(Conn* conn) {
-  std::unique_lock lock(mu_);
   conn->want_flush = false;
   while (!conn->out.empty()) {
     const auto [data, len] = conn->out.head_span();
@@ -445,8 +470,7 @@ void EventLoop::flush_conn(Conn* conn) {
       // not be consulted. The socket did not report itself full, so no
       // writability edge is coming: queue a retry for the next iteration and
       // make sure that iteration runs.
-      conn->want_flush = true;
-      flush_queue_.push_back(conn->id);
+      queue_flush(conn);
       wake();
       break;
     } else if (errno == EINTR) {
@@ -454,7 +478,6 @@ void EventLoop::flush_conn(Conn* conn) {
     } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
       break;  // kernel buffer full; EPOLLET delivers an edge when it drains
     } else {
-      lock.unlock();
       teardown(conn, true);
       return;
     }
@@ -462,19 +485,13 @@ void EventLoop::flush_conn(Conn* conn) {
 }
 
 void EventLoop::flush() {
+  check_loop_thread("flush()");
   std::vector<ConnId> queue;
-  {
-    std::lock_guard lock(mu_);
-    queue.swap(flush_queue_);
-  }
+  queue.swap(flush_queue_);
   for (const ConnId id : queue) {
-    Conn* conn;
-    {
-      std::lock_guard lock(mu_);
-      conn = find_locked(id);
-    }
+    Conn* conn = find(id);
     if (!conn) continue;
-    if (conn->doomed.load(std::memory_order_relaxed)) {
+    if (conn->doomed) {
       teardown(conn, true);
       continue;
     }
@@ -483,16 +500,11 @@ void EventLoop::flush() {
 }
 
 void EventLoop::teardown(Conn* conn, bool deliver_close) {
-  std::unique_ptr<Conn> owned;
-  {
-    std::lock_guard lock(mu_);
-    const auto it = conns_.find(conn->id);
-    if (it == conns_.end()) return;
-    owned = std::move(it->second);
-    conns_.erase(it);
-  }
+  const auto it = conns_.find(conn->id);
+  if (it == conns_.end()) return;
+  std::unique_ptr<Conn> owned = std::move(it->second);
+  conns_.erase(it);
   ::close(owned->fd);
-  owned->fd = -1;
   owned->service->stats.closed.fetch_add(1, std::memory_order_relaxed);
   if (deliver_close && owned->service->handler.on_close) {
     owned->service->handler.on_close(owned->id);
@@ -509,33 +521,32 @@ int EventLoop::run_tick() {
 void EventLoop::run() {
   loop_tid_.store(std::this_thread::get_id());
   std::vector<epoll_event> events(256);
-  int timeout_ms = run_tick();
-  flush();
-  while (running_.load()) {
+  int timeout_ms = 0;  // the first iteration runs at once: tasks, tick, flush
+  for (;;) {
     const int n = ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
                                timeout_ms);
     if (n < 0 && errno != EINTR) break;
-    if (!running_.load()) break;
+    // Clear the eventfd before taking the queue: a post() racing this
+    // iteration either lands in this batch or wakes the next iteration.
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.u64 != kWakeTag) continue;
+      std::uint64_t drain;
+      while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
+      }
+      break;
+    }
+    if (!run_posted()) break;
     for (int i = 0; i < n; ++i) {
       const std::uint64_t tag = events[i].data.u64;
       const std::uint32_t ev = events[i].events;
-      if (tag == kWakeTag) {
-        std::uint64_t drain;
-        while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
-        }
-        continue;
-      }
+      if (tag == kWakeTag) continue;
       if (tag & kListenerTag) {
         Service* service = services_[tag & ~kListenerTag].get();
         service->served = true;
         accept_ready(service);
         continue;
       }
-      Conn* conn;
-      {
-        std::lock_guard lock(mu_);
-        conn = find_locked(tag);
-      }
+      Conn* conn = find(tag);
       if (!conn) continue;  // torn down earlier this iteration
       Service* service = conn->service;
       service->served = true;
@@ -544,7 +555,7 @@ void EventLoop::run() {
         continue;
       }
       if (ev & EPOLLOUT) {
-        if (conn->connecting.exchange(false, std::memory_order_relaxed)) {
+        if (std::exchange(conn->connecting, false)) {
           int err = 0;
           socklen_t len = sizeof(err);
           ::getsockopt(conn->fd, SOL_SOCKET, SO_ERROR, &err, &len);
@@ -553,18 +564,9 @@ void EventLoop::run() {
             continue;
           }
           if (service->handler.on_open) service->handler.on_open(conn->id, false);
-          // on_open may have queued frames or closed the connection.
-          {
-            std::lock_guard lock(mu_);
-            conn = find_locked(tag);
-          }
-          if (!conn) continue;
         }
         flush_conn(conn);
-        {
-          std::lock_guard lock(mu_);
-          conn = find_locked(tag);
-        }
+        conn = find(tag);
         if (!conn) continue;  // flush hit a fatal error
       }
       if (ev & (EPOLLIN | EPOLLRDHUP | EPOLLHUP)) read_ready(conn);
@@ -576,8 +578,8 @@ void EventLoop::run() {
     }
     // The tick runs the owner's timers and Ready drain; then the
     // end-of-iteration output pass writes every connection send() touched
-    // this iteration — responses generated in on_frames or the tick, frames
-    // queued by other threads — many frames per write().
+    // this iteration — responses generated in on_frames, tasks or the tick —
+    // many frames per write().
     timeout_ms = run_tick();
     flush();
   }

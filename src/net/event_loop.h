@@ -3,15 +3,15 @@
 // One EventLoop multiplexes listening sockets plus any number of inbound
 // and outbound connections on a single thread, modeled on the single-writer
 // network loop of tarantool's iproto: the loop thread is the only thread
-// that ever touches a socket, so reads, frame parsing, and writes need no
-// per-connection synchronization. A replica runs everything on one loop:
-// RealNode's raft transport is its first service, KvServer's client
-// listener a second one (add_service), and RealNode drives its consensus
-// core's timers and Ready drain from the loop's tick. Other threads interact
-// through thread-safe entry points — send() enqueues a frame onto the
-// connection's output ring and wakes the loop via an eventfd; connect()
-// opens a nonblocking outbound connection; wake() just wakes it — and the
-// loop drains everything in batches:
+// that touches a socket or a connection, so none of it needs a lock. A
+// replica runs everything on one loop: RealNode's raft transport is its
+// first service, KvServer's client listener a second one (add_service), and
+// RealNode drives its consensus core's timers and Ready drain from the
+// loop's tick. Other threads have one way in: post() queues a task, which
+// the loop runs at the top of its next iteration, and call() posts one and
+// waits for its result. The members touching connections are loop-thread
+// only while the loop runs; a call from another thread throws
+// std::logic_error. The loop drains everything in batches:
 //
 //   * edge-triggered epoll (EPOLLET): each readiness edge is drained to
 //     EAGAIN, so the kernel is consulted once per burst, not once per frame;
@@ -40,10 +40,12 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -142,7 +144,7 @@ struct EventLoopStats {
 class EventLoop {
  public:
   /// Identifies one connection for the lifetime of the loop. Ids are never
-  /// reused, so a stale id held by another thread can at worst miss.
+  /// reused, so a stale id can at worst miss.
   using ConnId = std::uint64_t;
 
   /// One class of connections on the loop (see add_service); the
@@ -170,8 +172,6 @@ class EventLoop {
     /// (false) rejects the frame and keeps the connection; consensus
     /// retransmits by design.
     bool evict_on_overflow = false;
-    /// recv() chunk requested per call.
-    std::size_t read_chunk = 1u << 16;
   };
 
   /// Per-service callbacks, all invoked on the loop thread; they must not
@@ -218,30 +218,40 @@ class EventLoop {
   /// Launches the loop thread.
   void start();
 
-  /// Stops the loop thread and closes every socket. Idempotent. on_close is
-  /// not invoked for the teardown.
+  /// Stops the loop thread, runs the tasks still queued on the calling
+  /// thread, then closes every socket. Idempotent. on_close is not invoked
+  /// for the teardown.
   void stop();
 
+  /// Queues `task` to run on the loop thread at the top of its next
+  /// iteration, in posting order. Thread-safe, never blocks. Tasks still
+  /// queued when stop() joins the loop thread run on the stopping thread;
+  /// while the loop is not running, `task` runs inline.
+  void post(std::function<void()> task) const;
+
+  /// Runs `fn` on the loop thread and returns its result (or rethrows its
+  /// exception). Inline when called on the loop thread or while the loop is
+  /// not running; otherwise posts it and blocks until it ran.
+  template <typename Fn>
+  std::invoke_result_t<Fn&> call(Fn&& fn) const;
+
+  // Loop thread only while the loop runs (see the file comment).
+
   /// Opens a nonblocking outbound connection to 127.0.0.1:`port`, owned by
-  /// service 0. Thread-safe; usable before or after start(). Returns 0 on
-  /// immediate failure (socket exhaustion). The connection is usable for
-  /// send() at once — frames queue until the connect completes.
+  /// service 0. Returns 0 on immediate failure (socket exhaustion). The
+  /// connection is usable for send() at once — frames queue until the
+  /// connect completes.
   ConnId connect(std::uint16_t port);
 
-  /// Queues one framed buffer on `conn`'s output ring and wakes the loop.
-  /// Thread-safe, never blocks. See Options for the overflow policy.
+  /// Queues one framed buffer on `conn`'s output ring; the end-of-iteration
+  /// flush writes it. Never blocks. See Options for the overflow policy.
   SendResult send(ConnId conn, const std::vector<std::uint8_t>& frame);
 
-  /// Requests an asynchronous close of `conn`. Thread-safe; on_close fires
-  /// on the loop thread.
+  /// Closes `conn` at the end of the iteration; on_close fires then.
   void close(ConnId conn);
 
-  /// Wakes the loop so it runs an iteration (and its tick) now.
-  /// Thread-safe.
-  void wake();
-
   /// Writes every queued frame to its socket now instead of at the end of
-  /// the iteration. Loop thread only.
+  /// the iteration.
   void flush();
 
   /// Bytes currently queued on `conn`'s output ring (flow-control probes).
@@ -254,7 +264,7 @@ class EventLoop {
     return services_.at(service)->stats;
   }
 
-  /// True when called from the loop thread (callback context).
+  /// True on the loop thread (and in stop() while it runs leftover tasks).
   bool on_loop_thread() const { return std::this_thread::get_id() == loop_tid_.load(); }
 
  private:
@@ -271,21 +281,36 @@ class EventLoop {
     int fd = -1;
     ConnId id = 0;
     Service* service = nullptr;
-    bool inbound = false;
-    std::atomic<bool> connecting{false};  ///< nonblocking connect() still in flight
-    bool want_flush = false;              ///< queued output since the last flush pass (mu_)
-    std::atomic<bool> doomed{false};      ///< close requested; torn down by the loop
-    ByteRing in;               ///< loop-thread-only
-    ByteRing out;              ///< guarded by mu_
+    bool connecting = false;  ///< nonblocking connect() still in flight
+    bool want_flush = false;  ///< queued in flush_queue_ since the last flush pass
+    bool doomed = false;      ///< close requested; torn down by the next flush pass
+    ByteRing in;
+    ByteRing out;
   };
 
+  /// start() → kRunning → stop() → kStopping (the loop exits; stop() runs
+  /// the queue dry) → kIdle. Tasks queue only while kRunning or kStopping.
+  enum class Phase : std::uint8_t { kIdle, kRunning, kStopping };
+
   void run();
+  /// Top of an iteration: runs the queued tasks; false once stop() began.
+  bool run_posted();
+  /// Queues `task`; false when the loop is idle and the caller runs it.
+  bool enqueue(std::function<void()>& task) const;
+  void wake() const;
+  /// Throws std::logic_error when the loop runs on another thread.
+  void check_loop_thread(const char* member) const;
   void accept_ready(Service* service);
   void read_ready(Conn* conn);
   void flush_conn(Conn* conn);
+  void queue_flush(Conn* conn);
   void teardown(Conn* conn, bool deliver_close);
-  Conn* find_locked(ConnId id);
+  Conn* find(ConnId id) const;
+  /// Nonblocking, TCP_NODELAY, and the service's buffer sizes.
   static void apply_socket_options(int fd, const Options& options);
+  /// Registers a connected socket as a new connection; 0 (fd closed) when
+  /// epoll refuses it.
+  ConnId adopt(int fd, Service* service, bool inbound);
   void register_fd(int fd, std::uint64_t tag);
   /// Milliseconds the next epoll_wait may sleep (runs the tick).
   int run_tick();
@@ -297,14 +322,32 @@ class EventLoop {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
 
-  mutable std::mutex mu_;  // guards conns_, flush_queue_, every Conn::out
+  // Loop thread only while the loop runs.
   std::map<ConnId, std::unique_ptr<Conn>> conns_;
   std::vector<ConnId> flush_queue_;
-  std::atomic<ConnId> next_id_{1};  // 0 is the wake fd's tag
+  ConnId next_id_ = 1;  // 0 is the wake fd's tag
+
+  // The way in from other threads.
+  mutable std::mutex mu_;  // guards phase_ and tasks_
+  Phase phase_ = Phase::kIdle;
+  mutable std::vector<std::function<void()>> tasks_;
 
   std::thread thread_;
-  std::atomic<bool> running_{false};
+  /// The loop thread while it runs (the stopping thread while stop() drains
+  /// the queue); default otherwise.
   std::atomic<std::thread::id> loop_tid_{};
 };
+
+template <typename Fn>
+std::invoke_result_t<Fn&> EventLoop::call(Fn&& fn) const {
+  if (on_loop_thread()) return fn();
+  // Shared: the loop thread may still hold the task after the caller has
+  // its result.
+  auto task = std::make_shared<std::packaged_task<std::invoke_result_t<Fn&>()>>(std::ref(fn));
+  auto result = task->get_future();
+  std::function<void()> run = [task] { (*task)(); };
+  if (!enqueue(run)) return fn();
+  return result.get();
+}
 
 }  // namespace escape::net

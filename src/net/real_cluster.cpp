@@ -79,7 +79,6 @@ RealNode::RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints,
           [this](std::vector<rpc::Envelope>&& burst) {
             // The whole burst steps in before the tick drains it, so one
             // Ready batch (one group commit) covers it.
-            std::lock_guard lock(mu_);
             const TimePoint now = clock_.now();
             for (const auto& env : burst) replica_.node().step(env, now);
           },
@@ -105,21 +104,13 @@ RealNode::RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints,
 RealNode::~RealNode() { stop(); }
 
 void RealNode::start() {
-  {
-    std::lock_guard lock(mu_);
-    replica_.start(clock_.now());
-  }
+  replica_.start(clock_.now());
   transport_.start();
 }
 
 void RealNode::stop() { transport_.stop(); }
 
-void RealNode::wake() {
-  if (!transport_.loop().on_loop_thread()) transport_.loop().wake();
-}
-
 Duration RealNode::tick() {
-  std::lock_guard lock(mu_);
   const TimePoint now = clock_.now();
   replica_.node().tick(now);
   replica_.pump(now);
@@ -129,23 +120,11 @@ Duration RealNode::tick() {
 }
 
 std::optional<LogIndex> RealNode::submit(std::vector<std::uint8_t> command) {
-  std::optional<LogIndex> index;
-  {
-    std::lock_guard lock(mu_);
-    index = replica_.node().submit(std::move(command), clock_.now());
-  }
-  wake();  // the loop persists + ships the Ready batch
-  return index;
+  return loop().call([&] { return replica_.node().submit(std::move(command), clock_.now()); });
 }
 
 std::optional<raft::ReadId> RealNode::submit_read() {
-  std::optional<raft::ReadId> read;
-  {
-    std::lock_guard lock(mu_);
-    read = replica_.node().submit_read(clock_.now());
-  }
-  wake();  // the loop drains the round / any lease grant
-  return read;
+  return loop().call([&] { return replica_.node().submit_read(clock_.now()); });
 }
 
 void RealNode::set_apply_hook(std::function<void(const rpc::LogEntry&)> hook) {
@@ -165,28 +144,23 @@ void RealNode::set_snapshot_hook(std::function<std::vector<std::uint8_t>()> hook
 }
 
 Role RealNode::role() const {
-  std::lock_guard lock(mu_);
-  return replica_.node().role();
+  return loop().call([this] { return replica_.node().role(); });
 }
 
 Term RealNode::term() const {
-  std::lock_guard lock(mu_);
-  return replica_.node().term();
+  return loop().call([this] { return replica_.node().term(); });
 }
 
 ServerId RealNode::leader_hint() const {
-  std::lock_guard lock(mu_);
-  return replica_.node().leader_hint();
+  return loop().call([this] { return replica_.node().leader_hint(); });
 }
 
 LogIndex RealNode::commit_index() const {
-  std::lock_guard lock(mu_);
-  return replica_.node().commit_index();
+  return loop().call([this] { return replica_.node().commit_index(); });
 }
 
 raft::NodeCounters RealNode::counters() const {
-  std::lock_guard lock(mu_);
-  return replica_.node().counters();
+  return loop().call([this] { return replica_.node().counters(); });
 }
 
 std::uint16_t RealNode::listen_port() const { return transport_.port(); }

@@ -14,11 +14,12 @@
 //     their sockets before the next batch's WAL sync, so followers persist
 //     batch N while the leader syncs batch N+1.
 //
-// The loop thread is the only thread that drives the core. The public API
-// stays thread-safe: other threads submit and read state under the node
-// lock, and an off-loop submit only wakes the loop. Hooks run on the loop
-// thread with the node lock held, so they must not call back into the
-// RealNode.
+// The loop thread is the only thread that touches the replica, so it needs
+// no lock. The public API stays thread-safe: submit, submit_read and the
+// state getters run through loop().call — inline on the loop thread (hooks
+// may call back into the node), posted and waited for from other threads,
+// and inline again once the node is stopped (counters() after stop()
+// returns the last values).
 //
 // Compaction: after each drain the replica compares the retained log with
 // the latest snapshot. When log().approx_bytes() reaches
@@ -36,7 +37,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -149,7 +149,8 @@ class RealNode {
   /// Stops the loop thread and transport. Idempotent.
   void stop();
 
-  /// Thread-safe command submission (leader only; nullopt otherwise).
+  /// Thread-safe command submission (leader only; nullopt otherwise). The
+  /// tick ending the loop iteration persists and ships the batch.
   std::optional<LogIndex> submit(std::vector<std::uint8_t> command);
 
   /// Thread-safe linearizable-read submission (leader only; nullopt
@@ -175,7 +176,7 @@ class RealNode {
   /// See Replica::set_snapshot_hook.
   void set_snapshot_hook(std::function<std::vector<std::uint8_t>()> hook);
 
-  // Thread-safe snapshots of node state.
+  // Thread-safe snapshots of node state (loop().call).
   Role role() const;
   Term term() const;
   ServerId leader_hint() const;
@@ -195,15 +196,11 @@ class RealNode {
   /// The loop's tick: fires due timers, drains, returns the time until the
   /// core's next deadline.
   Duration tick();
-  /// Wakes the loop unless called on it (its tick runs after this
-  /// iteration's events anyway).
-  void wake();
 
   const ServerId id_;
   SteadyClock clock_;
   Stores stores_;
-  mutable std::mutex mu_;  // guards replica_: the loop thread vs API callers
-  Replica replica_;
+  Replica replica_;  // loop thread only while the loop runs
   TcpTransport transport_;  // last: its loop thread uses every member above
 };
 

@@ -54,14 +54,13 @@ void TcpTransport::start() {
 
 void TcpTransport::stop() {
   loop_->stop();
-  std::lock_guard lock(mu_);
   peer_conn_.clear();
   conn_peer_.clear();
 }
 
 std::uint16_t TcpTransport::port() const { return loop_->port(); }
 
-EventLoop::ConnId TcpTransport::outgoing_locked(ServerId peer) {
+EventLoop::ConnId TcpTransport::outgoing(ServerId peer) {
   const auto existing = peer_conn_.find(peer);
   if (existing != peer_conn_.end()) return existing->second;
   const auto endpoint = endpoints_.find(peer);
@@ -77,11 +76,7 @@ EventLoop::ConnId TcpTransport::outgoing_locked(ServerId peer) {
 
 void TcpTransport::send(const rpc::Envelope& envelope) {
   const auto frame = rpc::frame_message(envelope.message);
-  EventLoop::ConnId conn;
-  {
-    std::lock_guard lock(mu_);
-    conn = outgoing_locked(envelope.to);
-  }
+  const EventLoop::ConnId conn = outgoing(envelope.to);
   if (conn == 0 || loop_->send(conn, frame) != EventLoop::SendResult::kOk) {
     stats_.dropped.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -97,12 +92,8 @@ void TcpTransport::send_batch(const std::vector<rpc::Envelope>& envelopes) {
 
 void TcpTransport::on_frames(EventLoop::ConnId conn,
                              std::vector<std::vector<std::uint8_t>>&& frames) {
-  ServerId peer = kNoServer;
-  {
-    std::lock_guard lock(mu_);
-    const auto it = conn_peer_.find(conn);
-    if (it != conn_peer_.end()) peer = it->second;
-  }
+  const auto known = conn_peer_.find(conn);
+  ServerId peer = known == conn_peer_.end() ? kNoServer : known->second;
   std::vector<rpc::Envelope> batch;
   batch.reserve(frames.size());
   bool corrupt = false;
@@ -113,7 +104,6 @@ void TcpTransport::on_frames(EventLoop::ConnId conn,
       Decoder d(frames[0]);
       peer = d.u32();
       d.expect_end();
-      std::lock_guard lock(mu_);
       conn_peer_[conn] = peer;
       i = 1;
     }
@@ -137,7 +127,6 @@ void TcpTransport::on_frames(EventLoop::ConnId conn,
 }
 
 void TcpTransport::on_conn_closed(EventLoop::ConnId conn) {
-  std::lock_guard lock(mu_);
   const auto it = conn_peer_.find(conn);
   if (it == conn_peer_.end()) return;
   const auto out = peer_conn_.find(it->second);

@@ -8,13 +8,14 @@
 // transparently — consensus tolerates lost messages by design, so the
 // transport drops rather than blocks when a peer is unreachable.
 //
-// Thread model: send()/send_batch() may be called from any thread (they
-// enqueue on the loop's output rings and wake it via its eventfd); the
-// deliver callback runs on the loop thread and must not block. Every
-// complete frame of one readiness burst arrives in a single deliver call —
-// the seam RealNode uses to step a whole burst into its core. RealNode also
-// runs its core's timers and Ready drain on this transport's loop (loop()),
-// and KvServer adds its client listener to it, so a replica is one thread.
+// Thread model: everything runs on the loop thread. send()/send_batch()
+// are loop-thread only while the loop runs (RealNode's send hook; other
+// threads post through loop()), so the peer maps need no lock. The deliver
+// callback runs on the loop thread and must not block. Every complete frame of one readiness burst arrives in a
+// single deliver call — the seam RealNode uses to step a whole burst into
+// its core. RealNode also runs its core's timers and Ready drain on this
+// transport's loop (loop()), and KvServer adds its client listener to it,
+// so a replica is one thread.
 //
 // The net::testhooks syscall seams live in event_loop.h (shared with the
 // serving layer).
@@ -25,7 +26,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "net/event_loop.h"
@@ -77,12 +77,13 @@ class TcpTransport {
   /// a stopped transport cannot be restarted.
   void stop();
 
-  /// Queues `envelope` for its destination. Never blocks; drops (and counts)
-  /// when the peer is unreachable or the outbound queue is saturated.
+  /// Queues `envelope` for its destination. Loop thread only while the loop
+  /// runs. Never blocks; drops (and counts) when the peer is unreachable or
+  /// the outbound queue is saturated.
   void send(const rpc::Envelope& envelope);
 
-  /// Queues a whole Ready batch: one lock acquisition on the transport, and
-  /// the loop coalesces all frames sharing a destination into few write()s.
+  /// Queues a whole Ready batch; the loop coalesces all frames sharing a
+  /// destination into few write()s. Loop thread only while the loop runs.
   void send_batch(const std::vector<rpc::Envelope>& envelopes);
 
   /// Port the transport is listening on. Meaningful after start(); with a
@@ -99,7 +100,7 @@ class TcpTransport {
  private:
   void on_frames(EventLoop::ConnId conn, std::vector<std::vector<std::uint8_t>>&& frames);
   void on_conn_closed(EventLoop::ConnId conn);
-  EventLoop::ConnId outgoing_locked(ServerId peer);  // mu_ held
+  EventLoop::ConnId outgoing(ServerId peer);
 
   const ServerId self_;
   const std::map<ServerId, std::uint16_t> endpoints_;
@@ -108,7 +109,7 @@ class TcpTransport {
 
   std::unique_ptr<EventLoop> loop_;
 
-  std::mutex mu_;  // guards peer_conn_, conn_peer_
+  // Loop thread only.
   std::map<ServerId, EventLoop::ConnId> peer_conn_;  ///< outgoing connection per peer
   std::map<EventLoop::ConnId, ServerId> conn_peer_;  ///< known (outgoing) or learned (hello)
 

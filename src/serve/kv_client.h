@@ -4,11 +4,14 @@
 // `connections_per_server` connections to every server, and submits commands
 // with automatic leader tracking: kNotLeader responses move the target to
 // the hinted leader (or rotate when no hint), kRetry and connection drops
-// resubmit after a backoff, and a janitor thread enforces per-command
-// deadlines — a command that gets no final answer completes with
-// Status::kTimeout. The open-loop load generator (bench/loadgen) measures
-// leader-failover unavailability as the gap this retry machinery leaves
-// between successful completions.
+// resubmit after a backoff, and a command that gets no final answer by its
+// deadline completes with Status::kTimeout. The open-loop load generator
+// (bench/loadgen) measures leader-failover unavailability as the gap this
+// retry machinery leaves between successful completions.
+//
+// One thread: submit() posts to the loop, and responses, connection drops
+// and the loop's tick (deadlines, backoff resends) run on it, so the
+// client's tables need no lock.
 //
 // Sessions and write concurrency: the server's exactly-once dedup keys on
 // (client_id, sequence) and caches only the LAST result per session, which
@@ -26,8 +29,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -40,9 +41,8 @@ namespace escape::serve {
 class KvClient {
  public:
   struct Options {
-    Duration timeout = from_ms(2000);      ///< total per-command deadline
-    Duration retry_backoff = from_ms(10);  ///< delay before resubmission
-    int lanes = 16;                        ///< concurrent write sessions
+    Duration timeout = from_ms(2000);  ///< total per-command deadline
+    int lanes = 16;                    ///< concurrent write sessions
     int connections_per_server = 1;
   };
 
@@ -63,11 +63,15 @@ class KvClient {
   KvClient& operator=(const KvClient&) = delete;
 
   void start();
+  /// Stops the loop and completes every command not yet answered — in
+  /// flight, queued on a lane, or posted but not yet run — with kRetry.
+  /// Idempotent; a submit after stop() completes kRetry at once.
   void stop();
 
-  /// Thread-safe, never blocks. The client stamps the command's session
-  /// identity (client_id, sequence); callers only set op/key/value/expected.
-  /// `done` runs on an internal thread and must not block.
+  /// Thread-safe, never blocks: posts the command to the client loop. The
+  /// client stamps the command's session identity (client_id, sequence);
+  /// callers only set op/key/value/expected. The deadline counts from this
+  /// call. `done` runs on the loop thread and must not block; it may submit.
   void submit(kv::Command command, Callback done);
 
   /// Commands not yet completed (flow-control probe for the load generator).
@@ -89,19 +93,22 @@ class KvClient {
     std::deque<std::uint64_t> waiting;
   };
 
+  // Loop thread.
+  void begin(kv::Command command, Callback done, TimePoint submitted);
   void on_frames(net::EventLoop::ConnId conn, std::vector<std::vector<std::uint8_t>>&& frames);
   void on_conn_closed(net::EventLoop::ConnId conn);
-  void janitor();
-  void try_send_locked(std::uint64_t request_id, Pending& pending, TimePoint now);
-  net::EventLoop::ConnId conn_for_locked(ServerId server, std::uint64_t request_id);
-  void rotate_leader_locked();
+  /// Times out expired commands, resends due ones; returns the time until
+  /// the earliest remaining deadline or backoff.
+  Duration tick();
+  void try_send(std::uint64_t request_id, Pending& pending, TimePoint now);
+  void retry_later(Pending& pending, TimePoint now);
+  net::EventLoop::ConnId conn_for(ServerId server, std::uint64_t request_id);
+  void rotate_leader();
   /// Completes the request and, for a write, activates the lane's next
-  /// queued command. Appends the callback to `completions` for invocation
-  /// outside the lock.
-  void finish_locked(std::uint64_t request_id, Status status, kv::CommandResult result,
-                     TimePoint now,
-                     std::vector<std::pair<Callback, std::pair<Status, kv::CommandResult>>>&
-                         completions);
+  /// queued command.
+  void finish(std::uint64_t request_id, Status status, const kv::CommandResult& result,
+              TimePoint now);
+  void complete(const Callback& done, Status status, const kv::CommandResult& result);
 
   const std::map<ServerId, std::uint16_t> ports_;
   const std::uint64_t base_client_id_;
@@ -111,7 +118,7 @@ class KvClient {
 
   net::EventLoop loop_;
 
-  mutable std::mutex mu_;
+  // Loop thread only while the loop runs.
   std::map<std::uint64_t, Pending> pending_;
   std::vector<Lane> lanes_;
   std::uint64_t next_request_ = 1;
@@ -119,9 +126,9 @@ class KvClient {
   ServerId leader_;
   std::map<ServerId, std::vector<net::EventLoop::ConnId>> conns_;
   std::map<net::EventLoop::ConnId, ServerId> conn_server_;
+  bool closed_ = false;  ///< stop() failed everything; later submits fail at once
 
-  std::thread janitor_;
-  std::atomic<bool> running_{false};
+  std::atomic<std::size_t> outstanding_{0};  ///< submitted, callback not yet run
 };
 
 }  // namespace escape::serve

@@ -7,12 +7,8 @@ namespace escape::serve {
 
 namespace {
 
-net::EventLoop::Options client_loop_options(const KvServer::Options& options) {
-  net::EventLoop::Options o;
-  o.max_outbuf_bytes = options.max_client_outbuf;
-  o.evict_on_overflow = true;  // serving mode: slow clients are evicted
-  return o;
-}
+// Client-service backpressure bound (see EventLoop::Options).
+constexpr std::size_t kMaxClientOutbuf = std::size_t{4} << 20;
 
 }  // namespace
 
@@ -26,7 +22,10 @@ KvServer::KvServer(ServerId id, std::map<ServerId, std::uint16_t> raft_endpoints
                              std::vector<std::vector<std::uint8_t>>&& frames) {
     on_frames(conn, std::move(frames));
   };
-  client_ = node_.loop().add_service(std::move(handler), client_loop_options(options_));
+  net::EventLoop::Options serving;
+  serving.max_outbuf_bytes = kMaxClientOutbuf;
+  serving.evict_on_overflow = true;  // serving mode: slow clients are evicted
+  client_ = node_.loop().add_service(std::move(handler), serving);
   node_.set_apply_hook([this](const rpc::LogEntry& entry) { on_apply(entry); });
   node_.set_read_hook([this](const raft::ReadGrant& grant) { on_read(grant); });
   node_.set_restore_hook([this](const raft::Snapshot& snapshot) { on_restore(snapshot); });

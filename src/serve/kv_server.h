@@ -47,8 +47,6 @@ class KvServer {
     /// server binds 127.0.0.1:client_port (0 = kernel-assigned).
     int client_listen_fd = -1;
     std::uint16_t client_port = 0;
-    /// Client-service backpressure bound (see EventLoop::Options).
-    std::size_t max_client_outbuf = 4u << 20;
   };
 
   /// `raft_endpoints` maps every member (including `id`) to its raft

@@ -1,7 +1,8 @@
 // Epoll event-loop tests: ByteRing mechanics, port-0 listener adoption,
 // frame reassembly across partial transfers (tiny SO_SNDBUF/SO_RCVBUF),
 // slow-client eviction vs transport-mode overflow, a 1000-connection accept
-// storm, and EINTR injection through the net::testhooks syscall seams.
+// storm, post()/call() and the loop-thread contract, and EINTR injection
+// through the net::testhooks syscall seams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <csignal>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -147,6 +149,16 @@ std::vector<std::vector<std::uint8_t>> read_frames(int fd, std::size_t count) {
   return payloads;
 }
 
+/// Accepts one connection on a nonblocking listener, polling for up to 5 s.
+int accept_within(int listen_fd) {
+  int peer = -1;
+  for (int i = 0; i < 500 && peer < 0; ++i) {
+    peer = ::accept(listen_fd, nullptr, nullptr);
+    if (peer < 0) std::this_thread::sleep_for(10ms);
+  }
+  return peer;
+}
+
 /// An EventLoop that echoes every inbound frame payload back on the same
 /// connection — the minimal server exercising the full read/parse/write path.
 struct EchoLoop {
@@ -274,10 +286,11 @@ TEST(EventLoopTest, ServingModeEvictsSlowClient) {
   EXPECT_EQ(loop.stats().evicted_slow.load(), 1u);
   EXPECT_TRUE(overflowed.load());
   const auto gone = std::chrono::steady_clock::now() + 10s;
-  while (loop.connection_count() > 0 && std::chrono::steady_clock::now() < gone) {
+  const auto connections = [&] { return loop.call([&] { return loop.connection_count(); }); };
+  while (connections() > 0 && std::chrono::steady_clock::now() < gone) {
     std::this_thread::sleep_for(5ms);
   }
-  EXPECT_EQ(loop.connection_count(), 0u);
+  EXPECT_EQ(connections(), 0u);
   ::close(fd);
   loop.stop();
 }
@@ -314,7 +327,7 @@ TEST(EventLoopTest, TransportModeRejectsOverflowButKeepsConnection) {
   }
   EXPECT_GT(rejected.load(), 0);
   EXPECT_EQ(loop.stats().evicted_slow.load(), 0u);
-  EXPECT_EQ(loop.connection_count(), 1u);
+  EXPECT_EQ(loop.call([&] { return loop.connection_count(); }), 1u);
   ::close(fd);
   loop.stop();
 }
@@ -369,9 +382,120 @@ TEST(EventLoopTest, AcceptStormThousandConnections) {
   for (auto& t : readers) t.join();
   EXPECT_EQ(echoed.load(), kConns);
   EXPECT_GE(echo.loop.stats().accepted.load(), kConns);
-  EXPECT_EQ(echo.loop.connection_count(), kConns);
+  EXPECT_EQ(echo.loop.call([&] { return echo.loop.connection_count(); }), kConns);
   for (int fd : fds) ::close(fd);
   echo.loop.stop();
+}
+
+// --- post / call: the one way onto the loop ---------------------------------
+
+TEST(EventLoopPostTest, TasksFromFourThreadsRunOnceInFifoOrderPerThread) {
+  constexpr int kThreads = 4;
+  constexpr int kTasks = 2000;
+  EventLoop loop(EventLoop::Handler{});
+  loop.start();
+  std::vector<std::vector<int>> seen(kThreads);  // touched on the loop thread only
+  std::atomic<int> off_loop{0};
+  std::vector<std::thread> posters;
+  for (int t = 0; t < kThreads; ++t) {
+    posters.emplace_back([&, t] {
+      for (int i = 0; i < kTasks; ++i) {
+        loop.post([&, t, i] {
+          if (!loop.on_loop_thread()) off_loop.fetch_add(1);
+          seen[static_cast<std::size_t>(t)].push_back(i);
+        });
+      }
+    });
+  }
+  for (auto& poster : posters) poster.join();
+  loop.call([] {});  // FIFO: every task posted before this one has run
+  loop.stop();
+  EXPECT_EQ(off_loop.load(), 0);
+  std::vector<int> expected(kTasks);
+  std::iota(expected.begin(), expected.end(), 0);
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[static_cast<std::size_t>(t)], expected) << t;
+}
+
+TEST(EventLoopPostTest, CallReturnsItsValueFromTheLoopThread) {
+  EventLoop loop(EventLoop::Handler{});
+  loop.start();
+  EXPECT_EQ(loop.call([] { return 42; }), 42);
+  EXPECT_TRUE(loop.call([&] { return loop.on_loop_thread(); }));
+  EXPECT_FALSE(loop.on_loop_thread());
+  EXPECT_EQ(loop.call([&] { return loop.connection_count(); }), 0u);
+  // An exception thrown on the loop thread reaches the caller, and the loop
+  // keeps serving.
+  EXPECT_THROW(loop.call([]() -> int { throw std::runtime_error("task failed"); }),
+               std::runtime_error);
+  EXPECT_EQ(loop.call([] { return 7; }), 7);
+  loop.stop();
+}
+
+TEST(EventLoopPostTest, CallRacingStopNeitherHangsNorIsLost) {
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 3000;
+  EventLoop loop(EventLoop::Handler{});
+  loop.start();
+  std::atomic<int> ran{0};
+  std::atomic<int> wrong{0};
+  std::atomic<int> started{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&] {
+      started.fetch_add(1);
+      for (int i = 0; i < kCalls; ++i) {
+        const int got = loop.call([&ran, i] {
+          ran.fetch_add(1);
+          return i;
+        });
+        if (got != i) wrong.fetch_add(1);
+      }
+    });
+  }
+  while (started.load() < kThreads) std::this_thread::yield();
+  std::this_thread::sleep_for(2ms);
+  loop.stop();  // lands while the callers are mid-stream
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(ran.load(), kThreads * kCalls);
+}
+
+TEST(EventLoopPostTest, CallAndPostRunInlineWhenTheLoopIsNotRunning) {
+  EventLoop loop(EventLoop::Handler{});
+  const auto self = std::this_thread::get_id();
+  const auto runs_on = [&] { return loop.call([] { return std::this_thread::get_id(); }); };
+  EXPECT_EQ(runs_on(), self);  // before start()
+  loop.start();
+  EXPECT_NE(runs_on(), self);
+  loop.stop();
+  EXPECT_EQ(runs_on(), self);  // after stop()
+  bool posted_ran = false;
+  loop.post([&] { posted_ran = true; });
+  EXPECT_TRUE(posted_ran);
+}
+
+TEST(EventLoopContractTest, OffLoopSendThrowsWhileRunningAndWorksBeforeStart) {
+  const BoundListener listener = bind_loopback_listener(0);
+  EventLoop loop(EventLoop::Handler{});
+  // Before start() the owning thread sets the loop up directly.
+  const EventLoop::ConnId conn = loop.connect(listener.port);
+  ASSERT_NE(conn, 0u);
+  const std::vector<std::uint8_t> early = {1, 2, 3};
+  EXPECT_EQ(loop.send(conn, rpc::frame_payload(early)), EventLoop::SendResult::kOk);
+  loop.start();
+  EXPECT_THROW(loop.send(conn, rpc::frame_payload({4})), std::logic_error);
+  EXPECT_THROW(loop.connect(listener.port), std::logic_error);
+  EXPECT_THROW(loop.close(conn), std::logic_error);
+  EXPECT_THROW(loop.flush(), std::logic_error);
+  EXPECT_THROW(loop.outbuf_bytes(conn), std::logic_error);
+  EXPECT_THROW(loop.connection_count(), std::logic_error);
+  // The frame queued before start() goes out once the connect completes.
+  const int peer = accept_within(listener.fd);
+  ASSERT_GE(peer, 0);
+  EXPECT_EQ(read_frames(peer, 1), std::vector<std::vector<std::uint8_t>>{early});
+  ::close(peer);
+  ::close(listener.fd);
+  loop.stop();
 }
 
 // --- EINTR seams -------------------------------------------------------------
@@ -479,20 +603,16 @@ TEST(EventLoopRobustnessTest, ZeroByteSendIsRetriedWithoutAWritabilityEdge) {
   const BoundListener listener = bind_loopback_listener(0);
   EventLoop loop(EventLoop::Handler{});
   loop.start();
-  const EventLoop::ConnId conn = loop.connect(listener.port);
+  const EventLoop::ConnId conn = loop.call([&] { return loop.connect(listener.port); });
   ASSERT_NE(conn, 0u);
-  int peer = -1;
-  for (int i = 0; i < 500 && peer < 0; ++i) {
-    peer = ::accept(listener.fd, nullptr, nullptr);
-    if (peer < 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  const int peer = accept_within(listener.fd);
   ASSERT_GE(peer, 0);
 
   const std::vector<std::uint8_t> first = {1}, second = {2, 2};
-  loop.send(conn, rpc::frame_payload(first));
+  loop.post([&] { loop.send(conn, rpc::frame_payload(first)); });
   ASSERT_EQ(read_frames(peer, 1), std::vector<std::vector<std::uint8_t>>{first});
   g_loop_zero_budget.store(1);
-  loop.send(conn, rpc::frame_payload(second));
+  loop.post([&] { loop.send(conn, rpc::frame_payload(second)); });
   EXPECT_EQ(read_frames(peer, 1), std::vector<std::vector<std::uint8_t>>{second})
       << "frame queued behind a 0-byte send() was never retried";
   EXPECT_LE(g_loop_zero_budget.load(), 0);

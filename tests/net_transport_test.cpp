@@ -72,6 +72,13 @@ rpc::Message probe_message(Term term) {
   return rv;
 }
 
+/// Sends from the test thread the way any thread other than the loop's
+/// must: posted onto the transport's loop (call waits until it ran, so a
+/// test can check the transport's stats right after).
+void send_from_test(TcpTransport& transport, const rpc::Envelope& envelope) {
+  transport.loop().call([&] { transport.send(envelope); });
+}
+
 struct Mailbox {
   std::mutex mu;
   std::condition_variable cv;
@@ -104,14 +111,14 @@ TEST(TcpTransportTest, DeliversBetweenTwoEndpoints) {
   t1.start();
   t2.start();
 
-  t1.send({1, 2, probe_message(7)});
+  send_from_test(t1, {1, 2, probe_message(7)});
   ASSERT_TRUE(inbox2.wait_for_count(1, 5000ms));
   EXPECT_EQ(inbox2.messages[0].from, 1u);
   EXPECT_EQ(inbox2.messages[0].to, 2u);
   EXPECT_EQ(inbox2.messages[0].message, probe_message(7));
 
   // Reply direction reuses / establishes the reverse connection.
-  t2.send({2, 1, probe_message(8)});
+  send_from_test(t2, {2, 1, probe_message(8)});
   ASSERT_TRUE(inbox1.wait_for_count(1, 5000ms));
   EXPECT_EQ(inbox1.messages[0].message, probe_message(8));
 
@@ -130,7 +137,7 @@ TEST(TcpTransportTest, ManyMessagesArriveInOrder) {
 
   constexpr int kCount = 500;
   for (int i = 0; i < kCount; ++i) {
-    t1.send({1, 2, probe_message(i)});
+    send_from_test(t1, {1, 2, probe_message(i)});
   }
   ASSERT_TRUE(inbox.wait_for_count(kCount, 10000ms));
   for (int i = 0; i < kCount; ++i) {
@@ -145,7 +152,7 @@ TEST(TcpTransportTest, SendToUnknownPeerDrops) {
   Port0Cluster ports({1});
   TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
   t1.start();
-  t1.send({1, 99, probe_message(1)});
+  send_from_test(t1, {1, 99, probe_message(1)});
   EXPECT_EQ(t1.stats().dropped.load(), 1u);
   t1.stop();
 }
@@ -158,7 +165,7 @@ TEST(TcpTransportTest, SendToDeadPeerDoesNotBlock) {
   TcpTransport t1(1, endpoints, nullptr, ports.options_for(1));
   t1.start();
   const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < 100; ++i) t1.send({1, 2, probe_message(i)});
+  for (int i = 0; i < 100; ++i) send_from_test(t1, {1, 2, probe_message(i)});
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, 1s);  // connection failure must not stall the sender
   t1.stop();
@@ -262,7 +269,7 @@ TEST(TcpTransportRobustnessTest, SurvivesEintrDuringRecv) {
   t2.start();
 
   constexpr int kCount = 200;
-  for (int i = 0; i < kCount; ++i) t1.send({1, 2, probe_message(i)});
+  for (int i = 0; i < kCount; ++i) send_from_test(t1, {1, 2, probe_message(i)});
   ASSERT_TRUE(inbox.wait_for_count(kCount, 10000ms))
       << "only " << inbox.messages.size() << " of " << kCount
       << " messages survived EINTR-interrupted recv";
@@ -291,7 +298,7 @@ TEST(TcpTransportRobustnessTest, SurvivesEintrAndShortWritesDuringSend) {
   t2.start();
 
   constexpr int kCount = 300;
-  for (int i = 0; i < kCount; ++i) t1.send({1, 2, probe_message(i)});
+  for (int i = 0; i < kCount; ++i) send_from_test(t1, {1, 2, probe_message(i)});
   ASSERT_TRUE(inbox.wait_for_count(kCount, 15000ms))
       << "only " << inbox.messages.size() << " of " << kCount
       << " messages survived interrupt + short-write interleavings";
@@ -317,7 +324,7 @@ TEST(TcpTransportRobustnessTest, ZeroByteSendDoesNotActOnStaleErrno) {
 
   // Pre-fix, the 0 return fell through to the stale-ECONNRESET branch and
   // closed the connection with this frame still queued — losing it.
-  t1.send({1, 2, probe_message(1)});
+  send_from_test(t1, {1, 2, probe_message(1)});
   ASSERT_TRUE(inbox.wait_for_count(1, 5000ms))
       << "frame queued behind a 0-byte send() was lost";
   EXPECT_EQ(inbox.messages[0].message, probe_message(1));
@@ -338,7 +345,7 @@ TEST(TcpTransportRobustnessTest, SurvivesEintrDuringAccept) {
   t1.start();
   t2.start();
 
-  t1.send({1, 2, probe_message(3)});
+  send_from_test(t1, {1, 2, probe_message(3)});
   ASSERT_TRUE(inbox.wait_for_count(1, 5000ms));
   EXPECT_EQ(inbox.messages[0].message, probe_message(3));
   t1.stop();
@@ -374,7 +381,7 @@ TEST(TcpTransportRobustnessTest, FramesSurviveTinySendBuffer) {
   };
 
   constexpr int kCount = 20;
-  for (int i = 0; i < kCount; ++i) t1.send({1, 2, bulk_message(i)});
+  for (int i = 0; i < kCount; ++i) send_from_test(t1, {1, 2, bulk_message(i)});
   ASSERT_TRUE(inbox.wait_for_count(kCount, 20000ms))
       << "only " << inbox.messages.size() << " of " << kCount
       << " bulk frames crossed the tiny send buffer";
@@ -557,6 +564,40 @@ TEST(RealClusterTest, DurableStateSurvivesRestart) {
   EXPECT_GE(restarted.commit_index(), 1);  // WAL replayed the entry
   restarted.stop();
   std::filesystem::remove_all(dir);
+}
+
+TEST(RealClusterTest, StateReadsAfterStopReturnTheLastValues) {
+  // The path a benchmark takes when it kills a replica: stop(), then read
+  // its counters. With the loop gone the reads run inline on the caller.
+  Port0Cluster ports({1});
+  RealNode::Options options;
+  options.node.heartbeat_interval = from_ms(60);
+  options.listen_fd = ports.fds[1];
+  RealNode node(1, ports.endpoints, fast_escape(), options);
+  std::atomic<LogIndex> last_applied{0};
+  node.set_apply_hook([&](const rpc::LogEntry& entry) { last_applied.store(entry.index); });
+  node.start();
+  const auto deadline = std::chrono::steady_clock::now() + 5000ms;
+  while (node.role() != Role::kLeader && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(10ms);
+  }
+  ASSERT_EQ(node.role(), Role::kLeader);
+  std::optional<LogIndex> last;
+  for (std::uint8_t i = 0; i < 3; ++i) last = node.submit({i});
+  ASSERT_TRUE(last.has_value());
+  while (node.commit_index() < *last && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(10ms);
+  }
+  const raft::NodeCounters before = node.counters();
+  node.stop();
+
+  const raft::NodeCounters after = node.counters();
+  EXPECT_GE(node.commit_index(), *last);
+  EXPECT_EQ(node.commit_index(), last_applied.load());  // the drain applied all of it
+  EXPECT_EQ(node.role(), Role::kLeader);
+  EXPECT_GE(after.entries_committed, before.entries_committed);
+  EXPECT_GE(after.elections_won, 1u);
+  EXPECT_EQ(node.counters().entries_committed, after.entries_committed);  // frozen
 }
 
 // --- send before the next fsync ----------------------------------------------

@@ -1,6 +1,7 @@
 // Serving-layer tests: a real 3-node KvServer cluster on port-0 listeners,
 // driven both through KvClient (leader tracking, retries) and through raw
-// sockets speaking serve::kv_wire (redirects, session dedup).
+// sockets speaking serve::kv_wire (redirects, session dedup), plus KvClient
+// alone against a listener that never answers (deadlines, stop()).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -496,6 +497,76 @@ TEST(KvServerTest, DurableClusterCompactsAndCatchesUpBySnapshot) {
   client.stop();
   restarted.servers.clear();
   std::filesystem::remove_all(dir);
+}
+
+// --- KvClient against a server that never answers ---------------------------
+
+TEST(KvClientTest, TimeoutCompletesAtItsDeadlineWithoutASweep) {
+  // The kernel completes the handshake on the listener's backlog; nothing
+  // ever reads or answers, so only the client's own deadline ends the put.
+  const net::BoundListener silent = net::bind_loopback_listener(0);
+  KvClient::Options options;
+  options.timeout = from_ms(200);
+  KvClient client({{1, silent.port}}, 50'000, options);
+  client.start();
+
+  using Clock = std::chrono::steady_clock;
+  std::promise<std::pair<Status, Clock::time_point>> done;
+  auto outcome = done.get_future();
+  const Clock::time_point submitted = Clock::now();
+  client.submit(put("alpha", "1"), [&done](Status status, const kv::CommandResult&) {
+    done.set_value({status, Clock::now()});
+  });
+  ASSERT_EQ(outcome.wait_for(5s), std::future_status::ready);
+  const auto [status, at] = outcome.get();
+  EXPECT_EQ(status, Status::kTimeout);
+  EXPECT_GE(at - submitted, 200ms) << "completed before its deadline";
+  EXPECT_LT(at - submitted, 250ms) << "deadline overshot by 50 ms or more";
+  EXPECT_EQ(client.outstanding(), 0u);
+  client.stop();
+  ::close(silent.fd);
+}
+
+TEST(KvClientTest, StopCompletesPostedButUnrunSubmitsWithRetry) {
+  const net::BoundListener silent = net::bind_loopback_listener(0);
+  KvClient::Options options;
+  options.timeout = from_ms(50);
+  KvClient client({{1, silent.port}}, 60'000, options);
+  client.start();
+
+  // The first command's timeout callback holds the client's loop thread, so
+  // the submits that follow stay posted but unrun until stop() begins.
+  std::promise<void> entered, release;
+  auto released = release.get_future().share();
+  client.submit(put("alpha", "1"), [&entered, released](Status, const kv::CommandResult&) {
+    entered.set_value();
+    released.wait();
+  });
+  ASSERT_EQ(entered.get_future().wait_for(5s), std::future_status::ready);
+
+  constexpr int kQueued = 100;
+  std::atomic<int> retried{0};
+  std::atomic<int> other{0};
+  for (int i = 0; i < kQueued; ++i) {
+    client.submit(i % 2 ? get("alpha") : put("alpha", std::to_string(i)),
+                  [&](Status status, const kv::CommandResult&) {
+                    (status == Status::kRetry ? retried : other).fetch_add(1);
+                  });
+  }
+  EXPECT_EQ(client.outstanding(), static_cast<std::size_t>(kQueued) + 1);
+  std::thread stopper([&] { client.stop(); });
+  std::this_thread::sleep_for(20ms);
+  release.set_value();
+  stopper.join();
+  EXPECT_EQ(retried.load(), kQueued);
+  EXPECT_EQ(other.load(), 0);
+  EXPECT_EQ(client.outstanding(), 0u);
+
+  // After stop() a submit completes at once, on the caller's thread.
+  Status late = Status::kOk;
+  client.submit(get("alpha"), [&](Status status, const kv::CommandResult&) { late = status; });
+  EXPECT_EQ(late, Status::kRetry);
+  ::close(silent.fd);
 }
 
 }  // namespace
