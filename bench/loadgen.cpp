@@ -157,64 +157,6 @@ LoadResult run_open_loop(const std::vector<serve::KvClient*>& clients, const Pro
 
 namespace {
 
-/// Shared generator state for the closed-loop resubmission chains. Owns a
-/// copy of the profile: completion callbacks can outlive run_closed_loop's
-/// stack frame.
-struct ClosedGen {
-  std::mutex mu;
-  Profile profile;
-  Rng rng;
-  ZipfianGen zipf;
-  std::size_t submitted = 0;
-  TimePoint deadline = 0;
-
-  ClosedGen(const Profile& p, std::uint64_t seed)
-      : profile(p), rng(seed), zipf(p.key_count, p.theta) {}
-};
-
-/// One self-sustaining chain per window slot: each completion submits the
-/// next command until the deadline passes.
-void closed_submit_next(serve::KvClient* client, const std::shared_ptr<Tracker>& tracker,
-                        const std::shared_ptr<ClosedGen>& gen) {
-  kv::Command cmd;
-  {
-    std::lock_guard lock(gen->mu);
-    cmd = next_command(gen->profile, gen->zipf, gen->rng);
-    ++gen->submitted;
-  }
-  const TimePoint at = tracker->clock.now();
-  client->submit(cmd, [client, tracker, gen, at](serve::Status status, const kv::CommandResult&) {
-    tracker->record(status, at);
-    if (tracker->clock.now() < gen->deadline) closed_submit_next(client, tracker, gen);
-  });
-}
-
-}  // namespace
-
-LoadResult run_closed_loop(const std::vector<serve::KvClient*>& clients, const Profile& profile,
-                           std::size_t window, Duration duration, std::uint64_t seed) {
-  auto tracker = std::make_shared<Tracker>();
-  auto gen = std::make_shared<ClosedGen>(profile, seed);
-  SteadyClock clock;
-  const TimePoint start = clock.now();
-  tracker->last_success = start;
-  gen->deadline = start + duration;
-
-  for (auto* client : clients) {
-    for (std::size_t i = 0; i < window; ++i) closed_submit_next(client, tracker, gen);
-  }
-  while (clock.now() < gen->deadline) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  drain(clients, from_ms(3000));
-  std::size_t submitted;
-  {
-    std::lock_guard lock(gen->mu);
-    submitted = gen->submitted;
-  }
-  return finish(tracker, submitted, start, gen->deadline);
-}
-
-namespace {
-
 /// Blocking loopback connect for the pipelined client.
 int connect_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -370,26 +312,21 @@ PipelinedResult run_pipelined(std::uint16_t port, const Profile& profile, std::s
 
 // --- DirectKvService ---------------------------------------------------------
 
-DirectKvService::DirectKvService()
-    : loop_(
-          [this] {
-            net::EventLoop::Handler h;
-            h.on_frames = [this](net::EventLoop::ConnId conn,
-                                 std::vector<std::vector<std::uint8_t>>&& frames) {
-              on_frames(conn, std::move(frames));
-            };
-            return h;
-          }(),
-          [] {
-            net::EventLoop::Options o;
-            o.evict_on_overflow = true;  // serving mode
-            return o;
-          }()) {}
+DirectKvService::DirectKvService() {
+  net::EventLoop::Handler handler;
+  handler.on_frames = [this](net::EventLoop::ConnId conn,
+                             std::vector<std::vector<std::uint8_t>>&& frames) {
+    on_frames(conn, std::move(frames));
+  };
+  net::EventLoop::Options serving;
+  serving.evict_on_overflow = true;
+  service_ = loop_.add_service(std::move(handler), serving);
+}
 
 DirectKvService::~DirectKvService() { stop(); }
 
 void DirectKvService::start() {
-  loop_.listen(net::bind_loopback_listener(0));
+  loop_.listen(service_, net::bind_loopback_listener(0));
   loop_.start();
 }
 

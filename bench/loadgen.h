@@ -13,14 +13,13 @@
 //     store mutex, one write() per response — the model the tentpole
 //     replaced);
 //
-//   * the drivers — run_open_loop() submits at a fixed arrival rate
+//   * the driver — run_open_loop() submits at a fixed arrival rate
 //     regardless of completions (queueing delay is part of the measured
 //     latency, which is what makes the kill-the-leader mode honest: a stalled
-//     cluster accumulates arrivals instead of pausing the clock), and
-//     run_closed_loop() keeps a fixed window outstanding for saturation
-//     throughput. Both record per-op latency and the largest gap between
-//     consecutive successful completions — the client-visible unavailability
-//     a leader failure causes.
+//     cluster accumulates arrivals instead of pausing the clock). It records
+//     per-op latency and the largest gap between consecutive successful
+//     completions — the client-visible unavailability a leader failure
+//     causes.
 #pragma once
 
 #include <cstdint>
@@ -91,11 +90,6 @@ struct LoadResult {
 LoadResult run_open_loop(const std::vector<serve::KvClient*>& clients, const Profile& profile,
                          double rate_per_s, Duration duration, std::uint64_t seed);
 
-/// Keeps `window` commands outstanding per client until `duration` elapses
-/// (saturation throughput), then drains.
-LoadResult run_closed_loop(const std::vector<serve::KvClient*>& clients, const Profile& profile,
-                           std::size_t window, Duration duration, std::uint64_t seed);
-
 /// Outcome of one pipelined phase-A measurement (see run_pipelined).
 struct PipelinedResult {
   Sample batch_rtt_ms;  ///< one sample per batch round trip
@@ -125,13 +119,14 @@ class DirectKvService {
 
   void start();  ///< binds 127.0.0.1 port 0
   void stop();
-  std::uint16_t port() const { return loop_.port(); }
-  const net::EventLoopStats& stats() const { return loop_.stats(); }
+  std::uint16_t port() const { return loop_.port(service_); }
+  const net::EventLoopStats& stats() const { return loop_.stats(service_); }
 
  private:
   void on_frames(net::EventLoop::ConnId conn, std::vector<std::vector<std::uint8_t>>&& frames);
 
   net::EventLoop loop_;
+  net::EventLoop::ServiceId service_;
   kv::KvStore store_;  ///< loop-thread-only
 };
 

@@ -44,26 +44,6 @@ struct EscapeOptions {
   /// model the "separate heartbeat at a low interval rate" optimization of
   /// Section IV-C (ablation D).
   int patrol_every = 1;
-
-  /// Ranking hysteresis: a follower counts as *lagging* (and is demoted in
-  /// the patrol ranking) only when its reported log index trails the most
-  /// responsive follower's by more than this many entries. Followers within
-  /// the threshold keep their previous relative order, so ordinary
-  /// replication jitter (in-flight entries, one omitted heartbeat) does not
-  /// trigger spurious rearrangements — the configuration clock only advances
-  /// on material responsiveness changes, which keeps vote-time clock checks
-  /// meaningful under message loss.
-  LogIndex lag_threshold = 10;
-
-  /// Pipeline-backlog hysteresis for the patrol ranking (entries). A
-  /// follower whose replication backlog (entries the leader still owes it)
-  /// exceeds the *smallest* backlog among followers by more than this is
-  /// demoted like a log-index laggard, so the freshest replica under load
-  /// keeps the shortest timeout. The comparison is relative, not absolute:
-  /// an open-loop write storm puts every follower equally behind, and a
-  /// uniform backlog must not demote anyone (assignments — and hence the
-  /// confClock — stay stable under symmetric load). 0 disables the signal.
-  LogIndex backlog_lag_threshold = 64;
 };
 
 /// Configuration-clock stride per term. A new leader floors its clock at

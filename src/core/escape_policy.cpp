@@ -6,6 +6,29 @@
 #include "common/logging.h"
 
 namespace escape::core {
+namespace {
+
+/// Ranking hysteresis: a follower counts as *lagging* (and is demoted in the
+/// patrol ranking) only when its reported log index trails the most
+/// responsive follower's by more than this many entries. Followers within
+/// the threshold keep their previous relative order, so ordinary replication
+/// jitter (in-flight entries, one omitted heartbeat) does not trigger
+/// spurious rearrangements — the configuration clock only advances on
+/// material responsiveness changes, which keeps vote-time clock checks
+/// meaningful under message loss.
+constexpr LogIndex kLagThreshold = 10;
+
+/// Pipeline-backlog hysteresis for the patrol ranking (entries). A follower
+/// whose replication backlog (entries the leader still owes it) exceeds the
+/// *smallest* backlog among followers by more than this is demoted like a
+/// log-index laggard, so the freshest replica under load keeps the shortest
+/// timeout. The comparison is relative, not absolute: an open-loop write
+/// storm puts every follower equally behind, and a uniform backlog must not
+/// demote anyone (assignments — and hence the confClock — stay stable under
+/// symmetric load).
+constexpr LogIndex kBacklogLagThreshold = 64;
+
+}  // namespace
 
 EscapePolicy::EscapePolicy(ServerId self, std::size_t cluster_size, EscapeOptions options)
     : self_(self), n_(cluster_size), options_(options) {
@@ -139,13 +162,13 @@ void EscapePolicy::run_patrol() {
   // index freezes below the advancing cluster, and its high priority is
   // re-issued to a responsive server while its own copy goes stale.
   //
-  // Hysteresis: followers within lag_threshold of the best reported index
+  // Hysteresis: followers within kLagThreshold of the best reported index
   // are "healthy" and keep their previous relative order; only material
   // laggards are demoted. This keeps assignments (and hence the confClock)
   // stable under replication jitter and message loss.
   LogIndex best = 0;
   for (ServerId f : followers_) best = std::max(best, probes_.at(f).log_index);
-  // Pipeline feedback (see EscapeOptions::backlog_lag_threshold): demotion
+  // Pipeline feedback (see kBacklogLagThreshold): demotion
   // keys off the backlog *relative to the least-owed follower*, so a
   // symmetric write storm — every window equally full — demotes nobody.
   LogIndex min_backlog = 0;
@@ -157,9 +180,8 @@ void EscapePolicy::run_patrol() {
   }
   const auto lagging = [&](ServerId f) {
     const FollowerProbe& probe = probes_.at(f);
-    if (best - probe.log_index > options_.lag_threshold) return true;
-    return options_.backlog_lag_threshold > 0 &&
-           probe.backlog - min_backlog > options_.backlog_lag_threshold;
+    return best - probe.log_index > kLagThreshold ||
+           probe.backlog - min_backlog > kBacklogLagThreshold;
   };
   const auto previous_priority = [&](ServerId f) -> Priority {
     const auto it = assignments_.find(f);

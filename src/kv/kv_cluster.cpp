@@ -38,26 +38,6 @@ KvCluster::KvCluster(sim::SimCluster& cluster) : cluster_(cluster) {
         stores_[id] = std::move(store);
         last_applied_[id] = snap.last_included_index;
       });
-  // Read fast path: grants arrive after the same pump applied every newly
-  // committed entry, so peeking the serving replica's store here observes a
-  // state at least as fresh as the grant's read index.
-  cluster_.add_read_listener([this](ServerId id, const raft::ReadGrant& grant) {
-    if (!pending_read_ || pending_read_->server != id || pending_read_->id != grant.id) {
-      // Not (yet) ours: either another issuer's read (a scenario's
-      // ClientRead probe) or our own grant racing the ticket record — a
-      // lease grant fires inside submit_read, before read() learns its id.
-      // Stash it; read() claims right after submitting. Bounded by evicting
-      // the oldest — never by dropping the new grant, which could be the
-      // one read() is about to claim (a dropped claim would stall the
-      // client for its whole timeout).
-      while (unclaimed_grants_.size() >= 256) {
-        unclaimed_grants_.erase(unclaimed_grants_.begin());
-      }
-      unclaimed_grants_[{id, grant.id}] = grant;
-      return;
-    }
-    resolve_grant(grant);
-  });
 }
 
 std::optional<CommandResult> KvCluster::put(const std::string& key, const std::string& value,
@@ -93,73 +73,54 @@ std::optional<CommandResult> KvCluster::cas(const std::string& key, const std::s
   return run(std::move(c), timeout);
 }
 
-void KvCluster::resolve_grant(const raft::ReadGrant& grant) {
-  if (!grant.ok) {
-    pending_read_->rejected = true;
-    return;
-  }
-  const auto value = stores_.at(pending_read_->server)->peek(pending_read_key_);
-  pending_read_->result.ok = value.has_value();
-  pending_read_->result.value = value.value_or("");
-  pending_read_->done = true;
-}
-
-void KvCluster::retire_pending_read() {
-  if (!pending_read_) return;
-  // Drop only the retired ticket's stash entry, never the whole stash: the
-  // listener may stash grants for *other* issuers' probes (scenario
-  // ClientReads) at any time, and — the race this is keyed against — the
-  // next ticket's lease grant lands in the stash *inside* submit_read(),
-  // between the reset of the old ticket and the record of the new one. A
-  // wholesale clear anywhere in that window would discard the very grant the
-  // claim path is about to look up, stalling the client for its full
-  // timeout.
-  unclaimed_grants_.erase({pending_read_->server, pending_read_->id});
-  pending_read_.reset();
-}
-
 std::optional<CommandResult> KvCluster::read(const std::string& key, Duration timeout) {
   const TimePoint deadline = cluster_.loop().now() + timeout;
-  pending_read_key_ = key;
-  retire_pending_read();
+  // One submit_read per attempt. Its completion writes only that attempt,
+  // which it shares: a grant arriving after read() gave the attempt up (or
+  // returned) changes nothing the client still looks at.
+  struct Attempt {
+    ServerId server = kNoServer;
+    bool done = false;
+    bool rejected = false;
+    CommandResult result;
+  };
+  std::shared_ptr<Attempt> attempt;
   while (cluster_.loop().now() < deadline) {
-    if (!pending_read_ || pending_read_->rejected) {
+    if (!attempt || attempt->rejected) {
       // (Re)issue through whatever leads now; a rejection means the previous
-      // leadership ended before confirming the batch. Retire the rejected
-      // ticket first so a late grant for it can't linger in the stash.
-      retire_pending_read();
+      // leadership ended before confirming the batch.
+      attempt.reset();
       const ServerId leader = cluster_.leader();
       if (leader != kNoServer) {
-        if (const auto read = cluster_.submit_read(leader)) {
-          pending_read_ = PendingClientRead{leader, *read, false, false, {}};
-          // A lease read already resolved inside submit_read; claim it. The
-          // peek happens in the same virtual instant as the grant (no loop
-          // turn in between), so it observes exactly the granted state.
-          const auto it = unclaimed_grants_.find({leader, *read});
-          if (it != unclaimed_grants_.end()) {
-            const raft::ReadGrant grant = it->second;
-            unclaimed_grants_.erase(it);
-            resolve_grant(grant);
+        auto next = std::make_shared<Attempt>();
+        next->server = leader;
+        // Grants arrive after the same pump applied every newly committed
+        // entry, so peeking the serving replica's store here observes a
+        // state at least as fresh as the grant's read index. A lease grant
+        // completes inside submit_read, in the same virtual instant.
+        const auto done = [this, next, key](const raft::ReadGrant& grant) {
+          if (!grant.ok) {
+            next->rejected = true;
+            return;
           }
-        }
+          const auto value = stores_.at(next->server)->peek(key);
+          next->result.ok = value.has_value();
+          next->result.value = value.value_or("");
+          next->done = true;
+        };
+        if (cluster_.submit_read(leader, done)) attempt = std::move(next);
       }
     }
-    if (pending_read_ && pending_read_->done) {
-      auto result = pending_read_->result;
-      retire_pending_read();
-      return result;
-    }
+    if (attempt && attempt->done) return attempt->result;
     // A crashed leader never answers; cap the wait so the retry loop can
     // re-route instead of sleeping out the whole deadline.
     cluster_.loop().run_until(std::min(deadline, cluster_.loop().now() + from_ms(100)));
-    if (pending_read_ && pending_read_->server != cluster_.leader() && !pending_read_->done) {
-      pending_read_->rejected = true;  // leadership moved; re-issue
+    if (attempt && attempt->server != cluster_.leader() && !attempt->done) {
+      attempt->rejected = true;  // leadership moved; re-issue
     }
   }
-  std::optional<CommandResult> result;
-  if (pending_read_ && pending_read_->done) result = pending_read_->result;
-  retire_pending_read();
-  return result;
+  if (attempt && attempt->done) return attempt->result;
+  return std::nullopt;
 }
 
 std::optional<CommandResult> KvCluster::run(Command cmd, Duration timeout) {

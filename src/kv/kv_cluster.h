@@ -48,41 +48,12 @@ class KvCluster {
  private:
   std::optional<CommandResult> run(Command cmd, Duration timeout);
 
-  /// Resolves the in-flight read() against a grant for its ticket: peeks the
-  /// serving replica's store on success, marks the read for re-issue on
-  /// rejection. Shared by the listener (asynchronous ReadIndex grants) and
-  /// the post-submit claim path (synchronous lease grants).
-  void resolve_grant(const raft::ReadGrant& grant);
-
-  /// Abandons the current read ticket (done, rejected, or timed out) and
-  /// erases exactly its stash entry. Keyed by ticket so grants stashed for
-  /// other issuers — or for the *next* ticket, which can land during
-  /// submit_read before the ticket is recorded — survive.
-  void retire_pending_read();
-
   sim::SimCluster& cluster_;
   std::map<ServerId, std::unique_ptr<KvStore>> stores_;
   std::map<ServerId, LogIndex> last_applied_;
   std::map<ServerId, std::map<std::pair<std::uint64_t, std::uint64_t>, CommandResult>> results_;
   std::uint64_t client_id_ = 1;
   std::uint64_t next_sequence_ = 1;
-
-  /// The one in-flight read() of this synchronous client, resolved by the
-  /// cluster's read listener against the serving replica's local store.
-  struct PendingClientRead {
-    ServerId server = kNoServer;
-    raft::ReadId id = 0;
-    bool done = false;
-    bool rejected = false;
-    CommandResult result;
-  };
-  std::optional<PendingClientRead> pending_read_;
-  std::string pending_read_key_;
-  /// Grants that arrived before read() recorded its pending ticket — a lease
-  /// read resolves synchronously inside SimCluster::submit_read, while the
-  /// ticket id is only known once that call returns. read() claims from here
-  /// immediately after submitting.
-  std::map<std::pair<ServerId, raft::ReadId>, raft::ReadGrant> unclaimed_grants_;
 };
 
 }  // namespace escape::kv

@@ -26,8 +26,6 @@ namespace {
 constexpr std::uint64_t kWakeTag = 0;
 constexpr std::uint64_t kListenerTag = std::uint64_t{1} << 63;
 
-constexpr std::size_t kFrameHeaderBytes = 2 + 1 + 1 + 4 + 4;
-
 // recv() chunk requested per call.
 constexpr std::size_t kReadChunk = std::size_t{1} << 16;
 
@@ -42,28 +40,19 @@ void set_nodelay(int fd) {
 }
 
 /// Parses every complete frame off `in` (same wire format as
-/// rpc::FrameReader, parsed in place on the ring). Returns false on a
-/// magic/version/length/CRC violation — the stream is no longer trustworthy.
-bool parse_frames(ByteRing& in, std::vector<std::vector<std::uint8_t>>& out) {
-  for (;;) {
-    if (in.size() < kFrameHeaderBytes) return true;
-    std::uint8_t hdr[kFrameHeaderBytes];
-    in.peek(0, hdr, kFrameHeaderBytes);
-    Decoder d(hdr, kFrameHeaderBytes);
-    const auto magic = d.u16();
-    const auto version = d.u8();
-    const auto flags = d.u8();
-    const auto length = d.u32();
-    const auto crc = d.u32();
-    if (magic != rpc::kWireMagic || version != rpc::kWireVersion || flags != 0 ||
-        length > rpc::kMaxFrameBytes) {
-      return false;
-    }
-    if (in.size() < kFrameHeaderBytes + length) return true;
-    std::vector<std::uint8_t> payload(length);
-    in.peek(kFrameHeaderBytes, payload.data(), length);
-    if (crc32(payload) != crc) return false;
-    in.consume(kFrameHeaderBytes + length);
+/// rpc::FrameReader, parsed in place on the ring) into `out`. Throws
+/// DecodeError on a bad header or CRC: the stream is no longer trustworthy,
+/// but the frames before the bad one are already in `out`.
+void parse_frames(ByteRing& in, std::vector<std::vector<std::uint8_t>>& out) {
+  while (in.size() >= rpc::kFrameHeaderBytes) {
+    std::uint8_t hdr[rpc::kFrameHeaderBytes];
+    in.peek(0, hdr, rpc::kFrameHeaderBytes);
+    const rpc::FrameHeader header = rpc::parse_frame_header(hdr);
+    if (in.size() < rpc::kFrameHeaderBytes + header.length) return;
+    std::vector<std::uint8_t> payload(header.length);
+    in.peek(rpc::kFrameHeaderBytes, payload.data(), header.length);
+    if (crc32(payload) != header.crc) throw DecodeError("frame CRC mismatch");
+    in.consume(rpc::kFrameHeaderBytes + header.length);
     out.push_back(std::move(payload));
   }
 }
@@ -162,8 +151,7 @@ void ByteRing::consume(std::size_t n) {
 
 // --- EventLoop ---------------------------------------------------------------
 
-EventLoop::EventLoop(Handler handler, Options options) {
-  add_service(std::move(handler), options);
+EventLoop::EventLoop() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) throw std::runtime_error("epoll_create1() failed");
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
@@ -214,7 +202,7 @@ EventLoop::ServiceId EventLoop::add_service(Handler handler, Options options) {
   return services_.size() - 1;
 }
 
-void EventLoop::listen(BoundListener listener, ServiceId id) {
+void EventLoop::listen(ServiceId id, BoundListener listener) {
   Service& service = *services_.at(id);
   if (service.listen_fd >= 0) throw std::logic_error("EventLoop service already listening");
   if (listener.fd < 0) listener = bind_loopback_listener(listener.port);
@@ -334,11 +322,11 @@ EventLoop::ConnId EventLoop::adopt(int fd, Service* service, bool inbound) {
   return id;
 }
 
-EventLoop::ConnId EventLoop::connect(std::uint16_t port) {
+EventLoop::ConnId EventLoop::connect(ServiceId id, std::uint16_t port) {
   check_loop_thread("connect()");
+  Service* service = services_.at(id).get();
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return 0;
-  Service* service = services_.front().get();
   apply_socket_options(fd, service->options);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -443,17 +431,26 @@ void EventLoop::read_ready(Conn* conn) {
     }
   }
   std::vector<std::vector<std::uint8_t>> frames;
-  if (!parse_frames(conn->in, frames)) {
+  bool corrupt = false;
+  try {
+    parse_frames(conn->in, frames);
+  } catch (const DecodeError& e) {
     service.stats.decode_errors.fetch_add(1, std::memory_order_relaxed);
-    LOG_WARN("event loop: closing connection " << conn->id << " after frame decode error");
-    teardown(conn, true);
-    return;
+    LOG_WARN("event loop: closing connection " << conn->id << " after frame decode error: "
+                                               << e.what());
+    corrupt = true;
   }
+  const ConnId id = conn->id;
   if (!frames.empty()) {
+    // The frames before a corrupt one are the stream's intact prefix: they
+    // still deliver.
     service.stats.frames_in.fetch_add(frames.size(), std::memory_order_relaxed);
-    if (service.handler.on_frames) service.handler.on_frames(conn->id, std::move(frames));
+    if (service.handler.on_frames) service.handler.on_frames(id, std::move(frames));
   }
-  if (peer_closed) teardown(conn, true);
+  if (corrupt || peer_closed) {
+    // Looked up again: the handler may have flushed the connection away.
+    if (Conn* still = find(id)) teardown(still, true);
+  }
 }
 
 void EventLoop::flush_conn(Conn* conn) {

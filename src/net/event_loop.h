@@ -4,12 +4,12 @@
 // and outbound connections on a single thread, modeled on the single-writer
 // network loop of tarantool's iproto: the loop thread is the only thread
 // that touches a socket or a connection, so none of it needs a lock. A
-// replica runs everything on one loop: RealNode's raft transport is its
-// first service, KvServer's client listener a second one (add_service), and
-// RealNode drives its consensus core's timers and Ready drain from the
-// loop's tick. Other threads have one way in: post() queues a task, which
-// the loop runs at the top of its next iteration, and call() posts one and
-// waits for its result. The members touching connections are loop-thread
+// replica runs everything on the one loop its RealNode owns: the raft
+// transport (TcpTransport) is one service on it, KvServer's client listener
+// another, and RealNode drives its consensus core's timers and Ready drain
+// from the loop's tick. Other threads have one way in: post() queues a task,
+// which the loop runs at the top of its next iteration, and call() posts one
+// and waits for its result. The members touching connections are loop-thread
 // only while the loop runs; a call from another thread throws
 // std::logic_error. The loop drains everything in batches:
 //
@@ -19,22 +19,25 @@
 //     directly in the input ring, frames are parsed off it in place (wire
 //     format identical to rpc::FrameReader), and every complete frame of a
 //     readiness burst is delivered to the owner in ONE on_frames callback —
-//     the batching seam RealNode uses to step a whole burst into its core;
+//     the batching seam RealNode uses to step a whole burst into its core.
+//     A corrupt frame (rpc::parse_frame_header or CRC) closes the connection
+//     after the frames before it were delivered, and counts in decode_errors;
 //   * deferred output flush: frames queued during an iteration accumulate in
 //     the output rings and are written socket-by-socket at the end of the
 //     iteration (or earlier, when the loop thread calls flush()), coalescing
 //     many small frames into few write() calls;
-//   * services: each class of connections (raft peers, KV clients) has its
-//     own handler, output policy and stats; a connection belongs to the
-//     service of the listener that accepted it (outbound: service 0);
+//   * services: each class of connections (raft peers, KV clients) is a
+//     service with its own handler, output policy and stats (add_service is
+//     the only way to make one); a connection belongs to the service whose
+//     listener accepted it, or whose connect() opened it;
 //   * backpressure: each output ring is bounded. When a frame would
 //     overflow the bound the loop either evicts the connection (serving
 //     mode: a client that stops reading cannot pin server memory; counted
-//     in stats().evicted_slow) or rejects the frame (transport mode:
+//     in stats(service).evicted_slow) or rejects the frame (transport mode:
 //     consensus tolerates dropped messages by design).
 //
-// Syscalls go through net::testhooks (shared with TcpTransport) so tests
-// inject EINTR and short transfers deterministically.
+// Syscalls go through net::testhooks so tests inject EINTR and short
+// transfers deterministically.
 #pragma once
 
 #include <atomic>
@@ -147,8 +150,7 @@ class EventLoop {
   /// reused, so a stale id can at worst miss.
   using ConnId = std::uint64_t;
 
-  /// One class of connections on the loop (see add_service); the
-  /// constructor's handler and options form service 0.
+  /// One class of connections on the loop (see add_service).
   using ServiceId = std::size_t;
 
   enum class SendResult : std::uint8_t {
@@ -167,9 +169,9 @@ class EventLoop {
     /// rejected — and the connection evicted when evict_on_overflow is set.
     std::size_t max_outbuf_bytes = 8u << 20;
     /// Serving mode: a client whose output ring overflows is closed and
-    /// counted (stats().evicted_slow) instead of merely throttled — a reader
-    /// that stopped reading must not pin server memory. Transport mode
-    /// (false) rejects the frame and keeps the connection; consensus
+    /// counted (stats(service).evicted_slow) instead of merely throttled —
+    /// a reader that stopped reading must not pin server memory. Transport
+    /// mode (false) rejects the frame and keeps the connection; consensus
     /// retransmits by design.
     bool evict_on_overflow = false;
   };
@@ -187,25 +189,26 @@ class EventLoop {
     std::function<void(ConnId)> on_close;
   };
 
-  EventLoop(Handler handler, Options options);
-  explicit EventLoop(Handler handler) : EventLoop(std::move(handler), Options()) {}
+  /// A loop with no services yet (see add_service). Throws
+  /// std::runtime_error when epoll or the wake eventfd cannot be created.
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Adds another class of connections served by this loop's thread, with
-  /// its own handler, options and stats. Call before start().
+  /// Adds a class of connections served by this loop's thread, with its own
+  /// handler, options and stats. Call before start().
   ServiceId add_service(Handler handler, Options options);
 
   /// Adopts an already-bound listener (see bind_loopback_listener) or, when
   /// `listener.fd < 0`, binds 127.0.0.1:`listener.port`, for `service`;
   /// accepted connections belong to that service. Call before start(), at
-  /// most once per service; optional — a client-only loop never listens.
-  void listen(BoundListener listener, ServiceId service = 0);
+  /// most once per service; optional — a client-only service never listens.
+  void listen(ServiceId service, BoundListener listener);
 
   /// Port `service`'s listener is bound to (0 when not listening).
-  std::uint16_t port(ServiceId service = 0) const { return services_.at(service)->listen_port; }
+  std::uint16_t port(ServiceId service) const { return services_.at(service)->listen_port; }
 
   /// Installs the loop's tick: called on the loop thread once per
   /// iteration, after the iteration's events and before its output flush,
@@ -238,10 +241,10 @@ class EventLoop {
   // Loop thread only while the loop runs (see the file comment).
 
   /// Opens a nonblocking outbound connection to 127.0.0.1:`port`, owned by
-  /// service 0. Returns 0 on immediate failure (socket exhaustion). The
+  /// `service`. Returns 0 on immediate failure (socket exhaustion). The
   /// connection is usable for send() at once — frames queue until the
   /// connect completes.
-  ConnId connect(std::uint16_t port);
+  ConnId connect(ServiceId service, std::uint16_t port);
 
   /// Queues one framed buffer on `conn`'s output ring; the end-of-iteration
   /// flush writes it. Never blocks. See Options for the overflow policy.
@@ -260,9 +263,7 @@ class EventLoop {
   /// Live connection count (listener and wake fd excluded).
   std::size_t connection_count() const;
 
-  const EventLoopStats& stats(ServiceId service = 0) const {
-    return services_.at(service)->stats;
-  }
+  const EventLoopStats& stats(ServiceId service) const { return services_.at(service)->stats; }
 
   /// True on the loop thread (and in stop() while it runs leftover tasks).
   bool on_loop_thread() const { return std::this_thread::get_id() == loop_tid_.load(); }
@@ -315,7 +316,7 @@ class EventLoop {
   /// Milliseconds the next epoll_wait may sleep (runs the tick).
   int run_tick();
 
-  /// Fixed before start(); service 0 first.
+  /// Fixed before start(), indexed by ServiceId.
   std::vector<std::unique_ptr<Service>> services_;
   std::function<Duration()> tick_;
 

@@ -11,12 +11,6 @@ std::vector<ServerId> members_of(const std::map<ServerId, std::uint16_t>& endpoi
   return members;
 }
 
-TransportOptions transport_options(const RealNode::Options& options) {
-  TransportOptions topts;
-  topts.listen_fd = options.listen_fd;
-  return topts;
-}
-
 }  // namespace
 
 Stores open_stores(ServerId id, const std::string& data_dir) {
@@ -75,21 +69,21 @@ RealNode::RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints,
       replica_(id, members_of(endpoints), policy(id, endpoints.size()),
                Rng(options.seed ^ (0xC0FFEEull + id)), options.node, stores_),
       transport_(
-          id, endpoints,
+          loop_, id, endpoints,
           [this](std::vector<rpc::Envelope>&& burst) {
             // The whole burst steps in before the tick drains it, so one
             // Ready batch (one group commit) covers it.
             const TimePoint now = clock_.now();
             for (const auto& env : burst) replica_.node().step(env, now);
           },
-          transport_options(options)) {
+          BoundListener{options.listen_fd}) {
   replica_.hooks().send = [this](const std::vector<rpc::Envelope>& batch) {
     transport_.send_batch(batch);
     // Onto the sockets now, before the next batch's WAL sync: followers
     // persist this batch while the leader syncs the next one.
-    transport_.loop().flush();
+    loop_.flush();
   };
-  transport_.loop().set_tick([this] { return tick(); });
+  loop_.set_tick([this] { return tick(); });
 }
 
 RealNode::RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints,
@@ -97,18 +91,14 @@ RealNode::RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints,
     : RealNode(id, std::move(endpoints), std::move(policy), options,
                open_stores(id, options.data_dir)) {}
 
-RealNode::RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints,
-                   PolicyFactory policy)
-    : RealNode(id, std::move(endpoints), std::move(policy), Options()) {}
-
 RealNode::~RealNode() { stop(); }
 
 void RealNode::start() {
   replica_.start(clock_.now());
-  transport_.start();
+  loop_.start();
 }
 
-void RealNode::stop() { transport_.stop(); }
+void RealNode::stop() { loop_.stop(); }
 
 Duration RealNode::tick() {
   const TimePoint now = clock_.now();
@@ -162,7 +152,5 @@ LogIndex RealNode::commit_index() const {
 raft::NodeCounters RealNode::counters() const {
   return loop().call([this] { return replica_.node().counters(); });
 }
-
-std::uint16_t RealNode::listen_port() const { return transport_.port(); }
 
 }  // namespace escape::net

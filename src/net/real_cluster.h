@@ -1,12 +1,14 @@
 // Real-time runtime: one consensus server over TCP and steady_clock, on one
 // thread.
 //
-// A RealNode runs a Replica — the core, its durable stores and the
-// NodeDriver that executes its Ready batches — on its TcpTransport's event
-// loop, the shape tarantool's raft_ev gives its core:
+// A RealNode owns its replica's one EventLoop and runs a Replica — the
+// core, its durable stores and the NodeDriver that executes its Ready
+// batches — on it, the shape tarantool's raft_ev gives its core:
 //
-//   * inbound: every message of a readiness burst is stepped straight into
-//     the core from the transport's deliver callback;
+//   * peers: the raft TcpTransport is one service on the loop; every
+//     message of a readiness burst is stepped straight into the core from
+//     its deliver callback. Other protocols attach as further services the
+//     same way (KvServer's client listener);
 //   * timers: the loop's tick fires due timers, drains, and lets the loop
 //     sleep until the core's next deadline;
 //   * drain: batches execute through raft::NodeDriver with immediate hooks,
@@ -123,16 +125,17 @@ class RealNode {
     /// in-memory stores.
     std::string data_dir;
     std::uint64_t seed = 1;
-    /// Pre-bound listening socket to adopt (port-0 path; see
-    /// bind_loopback_listener). When < 0, the transport binds
-    /// endpoints[id] itself in start().
+    /// Pre-bound raft listening socket to adopt (port-0 path; see
+    /// bind_loopback_listener). When < 0, the constructor binds
+    /// endpoints[id] itself.
     int listen_fd = -1;
   };
 
   /// `endpoints` maps every member (including `id`) to a 127.0.0.1 port.
+  /// Binds (or adopts) the raft listener; throws std::runtime_error when the
+  /// bind fails.
   RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints, PolicyFactory policy,
            Options options);
-  RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints, PolicyFactory policy);
   /// As above, over caller-supplied stores instead of options.data_dir.
   RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints, PolicyFactory policy,
            Options options, Stores stores);
@@ -142,11 +145,11 @@ class RealNode {
   RealNode& operator=(const RealNode&) = delete;
 
   /// Starts the core (after the restore hook rebuilt the state machine from
-  /// a stored snapshot), then binds the transport and launches the loop
-  /// thread.
+  /// a stored snapshot), then launches the loop thread.
   void start();
 
-  /// Stops the loop thread and transport. Idempotent.
+  /// Stops the loop thread and closes every socket of every service on it.
+  /// Idempotent and terminal.
   void stop();
 
   /// Thread-safe command submission (leader only; nullopt otherwise). The
@@ -184,13 +187,12 @@ class RealNode {
   raft::NodeCounters counters() const;
   ServerId id() const { return id_; }
 
-  /// Port the transport listens on (kernel-assigned with the port-0 path).
-  /// Meaningful after start().
-  std::uint16_t listen_port() const;
+  /// Stats of the raft peer connections only.
+  const EventLoopStats& raft_stats() const { return loop_.stats(transport_.service()); }
 
-  /// The node's event loop (KvServer adds its client service to it).
-  EventLoop& loop() { return transport_.loop(); }
-  const EventLoop& loop() const { return transport_.loop(); }
+  /// The replica's event loop (KvServer adds its client service to it).
+  EventLoop& loop() { return loop_; }
+  const EventLoop& loop() const { return loop_; }
 
  private:
   /// The loop's tick: fires due timers, drains, returns the time until the
@@ -199,9 +201,11 @@ class RealNode {
 
   const ServerId id_;
   SteadyClock clock_;
+  /// The replica's one thread; ~RealNode stops it before any member goes.
+  EventLoop loop_;
   Stores stores_;
-  Replica replica_;  // loop thread only while the loop runs
-  TcpTransport transport_;  // last: its loop thread uses every member above
+  Replica replica_;         // loop thread only while the loop runs
+  TcpTransport transport_;  // a service on loop_
 };
 
 }  // namespace escape::net

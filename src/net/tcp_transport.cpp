@@ -18,70 +18,46 @@ std::vector<std::uint8_t> hello_frame(ServerId self) {
 
 }  // namespace
 
-TcpTransport::TcpTransport(ServerId self, std::map<ServerId, std::uint16_t> endpoints,
-                           DeliverFn deliver, TransportOptions options)
-    : self_(self),
-      endpoints_(std::move(endpoints)),
-      deliver_(std::move(deliver)),
-      options_(options) {
-  if (endpoints_.find(self_) == endpoints_.end()) {
-    throw std::invalid_argument("endpoints must include self");
-  }
-  EventLoop::Options loop_options;
-  loop_options.sndbuf = options_.sndbuf;
-  loop_options.rcvbuf = options_.rcvbuf;
+TcpTransport::TcpTransport(EventLoop& loop, ServerId self,
+                           std::map<ServerId, std::uint16_t> endpoints, DeliverFn deliver,
+                           BoundListener listener, EventLoop::Options options)
+    : loop_(loop), self_(self), endpoints_(std::move(endpoints)), deliver_(std::move(deliver)) {
+  const auto own = endpoints_.find(self_);
+  if (own == endpoints_.end()) throw std::invalid_argument("endpoints must include self");
   // Transport mode: overflow drops the frame but keeps the connection —
   // consensus retransmits by design, and evicting a live peer link would
   // only force a reconnect.
-  loop_options.evict_on_overflow = false;
+  options.evict_on_overflow = false;
   EventLoop::Handler handler;
   handler.on_frames = [this](EventLoop::ConnId conn,
                              std::vector<std::vector<std::uint8_t>>&& frames) {
     on_frames(conn, std::move(frames));
   };
   handler.on_close = [this](EventLoop::ConnId conn) { on_conn_closed(conn); };
-  loop_ = std::make_unique<EventLoop>(std::move(handler), loop_options);
+  service_ = loop_.add_service(std::move(handler), options);
+  // Adopted or bound here, the listener sits on self's endpoint: peers dial
+  // it there.
+  listener.port = own->second;
+  loop_.listen(service_, listener);
 }
-
-TcpTransport::~TcpTransport() { stop(); }
-
-void TcpTransport::start() {
-  BoundListener listener{options_.listen_fd, endpoints_.at(self_)};
-  if (listener.fd < 0) listener = bind_loopback_listener(listener.port);
-  loop_->listen(listener);
-  loop_->start();
-}
-
-void TcpTransport::stop() {
-  loop_->stop();
-  peer_conn_.clear();
-  conn_peer_.clear();
-}
-
-std::uint16_t TcpTransport::port() const { return loop_->port(); }
 
 EventLoop::ConnId TcpTransport::outgoing(ServerId peer) {
   const auto existing = peer_conn_.find(peer);
   if (existing != peer_conn_.end()) return existing->second;
   const auto endpoint = endpoints_.find(peer);
   if (endpoint == endpoints_.end()) return 0;
-  const EventLoop::ConnId conn = loop_->connect(endpoint->second);
+  const EventLoop::ConnId conn = loop_.connect(service_, endpoint->second);
   if (conn == 0) return 0;
   peer_conn_[peer] = conn;
   conn_peer_[conn] = peer;
-  stats_.reconnects.fetch_add(1, std::memory_order_relaxed);
-  loop_->send(conn, hello_frame(self_));
+  loop_.send(conn, hello_frame(self_));
   return conn;
 }
 
 void TcpTransport::send(const rpc::Envelope& envelope) {
   const auto frame = rpc::frame_message(envelope.message);
   const EventLoop::ConnId conn = outgoing(envelope.to);
-  if (conn == 0 || loop_->send(conn, frame) != EventLoop::SendResult::kOk) {
-    stats_.dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  stats_.sent.fetch_add(1, std::memory_order_relaxed);
+  if (conn == 0 || loop_.send(conn, frame) != EventLoop::SendResult::kOk) ++dropped_;
 }
 
 void TcpTransport::send_batch(const std::vector<rpc::Envelope>& envelopes) {
@@ -119,11 +95,10 @@ void TcpTransport::on_frames(EventLoop::ConnId conn,
                           << ": closing connection after decode error: " << e.what());
     corrupt = true;
   }
-  stats_.received.fetch_add(batch.size(), std::memory_order_relaxed);
   // Frames decoded before the corrupt one still deliver: the stream's
   // intact prefix is good data.
   if (!batch.empty() && deliver_) deliver_(std::move(batch));
-  if (corrupt) loop_->close(conn);
+  if (corrupt) loop_.close(conn);
 }
 
 void TcpTransport::on_conn_closed(EventLoop::ConnId conn) {

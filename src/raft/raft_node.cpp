@@ -14,6 +14,14 @@ namespace {
 /// the command payload (term + index + length prefix on the wire).
 constexpr std::size_t kEntryFramingBytes = 24;
 
+/// Heartbeat rounds between InstallSnapshot retries to a follower that has
+/// not replied (e.g. it is down): the snapshot is the full state payload,
+/// so re-shipping it on *every* round while a peer is dark is pure waste.
+/// Any reply from the peer clears the throttle immediately. The retry period
+/// (rounds x heartbeat_interval) stays below the minimum election timeout so
+/// a recovering follower is caught up before its timer fires.
+constexpr std::uint64_t kSnapshotRetryRounds = 2;
+
 }  // namespace
 
 namespace {
@@ -1217,11 +1225,11 @@ void RaftNode::send_append_entries(ServerId peer, bool include_config) {
   if (next <= log_.base()) {
     // The entries this follower needs are compacted away; only the snapshot
     // can catch it up (Raft §7). Re-ship to a *silent* peer (likely down —
-    // every copy would be dropped anyway) only every snapshot_retry_rounds
+    // every copy would be dropped anyway) only every kSnapshotRetryRounds
     // heartbeats; any reply from the peer clears the throttle.
     const auto it = install_sent_round_.find(peer);
     if (it != install_sent_round_.end() &&
-        counters_.heartbeat_rounds - it->second < options_.snapshot_retry_rounds) {
+        counters_.heartbeat_rounds - it->second < kSnapshotRetryRounds) {
       return;
     }
     install_sent_round_[peer] = counters_.heartbeat_rounds;

@@ -79,14 +79,6 @@ struct NodeOptions {
   /// entries recovered from prior terms until new client traffic arrives.
   bool commit_noop_on_elect = false;
 
-  /// Heartbeat rounds between InstallSnapshot retries to a follower that has
-  /// not replied (e.g. it is down): the snapshot is the full state payload,
-  /// so re-shipping it on *every* round while a peer is dark is pure waste.
-  /// Any reply from the peer clears the throttle immediately. Keep the
-  /// retry period (rounds x heartbeat_interval) below the minimum election
-  /// timeout so a recovering follower is caught up before its timer fires.
-  std::uint64_t snapshot_retry_rounds = 2;
-
   /// Leader-lease length as a fraction of the policy's minimum election
   /// timeout (ESCAPE: baseTime, the Eq. 1 period of the top priority P = n).
   /// Each quorum-acknowledged heartbeat round extends the lease to
@@ -508,7 +500,7 @@ class RaftNode {
   // Leader state.
   std::unordered_map<ServerId, Progress> progress_;
   /// Heartbeat round at which an InstallSnapshot was last shipped per peer;
-  /// throttles resends to silent followers (see snapshot_retry_rounds).
+  /// throttles resends to silent followers (see kSnapshotRetryRounds).
   std::unordered_map<ServerId, std::uint64_t> install_sent_round_;
 
   // Read fast path (leader volatile state; cleared on every role change).

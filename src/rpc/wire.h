@@ -8,9 +8,11 @@
 //   crc     u32  CRC32 of payload
 //   payload length bytes (an encode_message() buffer)
 //
-// FrameReader is an incremental parser: feed() arbitrary byte chunks, poll
-// next() for complete frames. Corrupt frames throw DecodeError, which a
-// connection treats as fatal (the stream is no longer trustworthy).
+// parse_frame_header() is the one header check; FrameReader (an incremental
+// parser: feed() arbitrary byte chunks, poll next() for complete frames) and
+// net::EventLoop (which parses in place on its input rings) both call it.
+// Corrupt frames throw DecodeError, which a connection treats as fatal (the
+// stream is no longer trustworthy).
 #pragma once
 
 #include <cstdint>
@@ -28,6 +30,19 @@ inline constexpr std::uint8_t kWireVersion = 1;
 /// Upper bound on a single frame's payload; prevents a hostile peer from
 /// forcing a huge allocation with a fake length prefix.
 inline constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
+/// magic + version + flags + length + crc.
+inline constexpr std::size_t kFrameHeaderBytes = 2 + 1 + 1 + 4 + 4;
+
+/// What a frame header promises about the payload that follows it.
+struct FrameHeader {
+  std::uint32_t length = 0;
+  std::uint32_t crc = 0;
+};
+
+/// Parses the kFrameHeaderBytes at `header`. Throws DecodeError on a bad
+/// magic, an unknown version, nonzero flags or a length above
+/// kMaxFrameBytes; checking the payload against `crc` is the caller's.
+FrameHeader parse_frame_header(const std::uint8_t* header);
 
 /// Wraps an encoded message payload in a checksummed frame.
 std::vector<std::uint8_t> frame_payload(const std::vector<std::uint8_t>& payload);

@@ -26,19 +26,15 @@ KvClient::KvClient(std::map<ServerId, std::uint16_t> client_ports, std::uint64_t
       base_client_id_(base_client_id),
       options_(options),
       servers_(server_list(ports_)),
-      loop_(
-          [this] {
-            net::EventLoop::Handler h;
-            h.on_frames = [this](net::EventLoop::ConnId conn,
-                                 std::vector<std::vector<std::uint8_t>>&& frames) {
-              on_frames(conn, std::move(frames));
-            };
-            h.on_close = [this](net::EventLoop::ConnId conn) { on_conn_closed(conn); };
-            return h;
-          }(),
-          net::EventLoop::Options{}),
       lanes_(static_cast<std::size_t>(std::max(1, options.lanes))),
       leader_(servers_.empty() ? kNoServer : servers_.front()) {
+  net::EventLoop::Handler handler;
+  handler.on_frames = [this](net::EventLoop::ConnId conn,
+                             std::vector<std::vector<std::uint8_t>>&& frames) {
+    on_frames(conn, std::move(frames));
+  };
+  handler.on_close = [this](net::EventLoop::ConnId conn) { on_conn_closed(conn); };
+  service_ = loop_.add_service(std::move(handler), net::EventLoop::Options{});
   loop_.set_tick([this] { return tick(); });
 }
 
@@ -73,7 +69,7 @@ net::EventLoop::ConnId KvClient::conn_for(ServerId server, std::uint64_t request
   if (slots[slot] == 0) {
     const auto port = ports_.find(server);
     if (port == ports_.end()) return 0;
-    const auto conn = loop_.connect(port->second);
+    const auto conn = loop_.connect(service_, port->second);
     if (conn == 0) return 0;
     slots[slot] = conn;
     conn_server_[conn] = server;
@@ -90,6 +86,7 @@ void KvClient::rotate_leader() {
 
 void KvClient::retry_later(Pending& pending, TimePoint now) {
   pending.in_flight = false;
+  pending.redirected = false;
   pending.not_before = now + kRetryBackoff;
 }
 
@@ -189,14 +186,26 @@ void KvClient::on_frames(net::EventLoop::ConnId conn,
       case Status::kOk:
         finish(response->request_id, Status::kOk, response->result, now);
         break;
-      case Status::kNotLeader:
-        if (response->leader_hint != kNoServer && ports_.count(response->leader_hint)) {
-          leader_ = response->leader_hint;
-        } else if (conn_server_.count(conn) && conn_server_[conn] == leader_) {
+      case Status::kNotLeader: {
+        const auto owner = conn_server_.find(conn);
+        const ServerId answered = owner == conn_server_.end() ? kNoServer : owner->second;
+        const ServerId hint = response->leader_hint;
+        Pending& pending = it->second;
+        if (hint != kNoServer && ports_.count(hint)) {
+          leader_ = hint;
+          // Follow a fresh hint at once; a redirect that bounces again (two
+          // servers hinting each other mid-election) waits the backoff.
+          if (hint != answered && !pending.redirected) {
+            pending.redirected = true;
+            try_send(response->request_id, pending, now);
+            break;
+          }
+        } else if (answered == leader_) {
           rotate_leader();
         }
-        retry_later(it->second, now);
+        retry_later(pending, now);
         break;
+      }
       case Status::kRetry:
       default:
         retry_later(it->second, now);

@@ -2,10 +2,12 @@
 //
 // One KvClient drives one EventLoop (client-only, no listener) holding
 // `connections_per_server` connections to every server, and submits commands
-// with automatic leader tracking: kNotLeader responses move the target to
-// the hinted leader (or rotate when no hint), kRetry and connection drops
-// resubmit after a backoff, and a command that gets no final answer by its
-// deadline completes with Status::kTimeout. The open-loop load generator
+// with automatic leader tracking: a kNotLeader response naming another known
+// server resends to it at once (a command redirected that way that bounces
+// again waits a backoff, so two servers hinting each other cannot spin it),
+// one without a usable hint rotates the target and backs off, kRetry and
+// connection drops resubmit after a backoff, and a command that gets no
+// final answer by its deadline completes with Status::kTimeout. The open-loop load generator
 // (bench/loadgen) measures leader-failover unavailability as the gap this
 // retry machinery leaves between successful completions.
 //
@@ -84,7 +86,8 @@ class KvClient {
     TimePoint deadline = 0;
     TimePoint not_before = 0;  ///< earliest (re)send time
     bool in_flight = false;
-    int lane = -1;  ///< >= 0: the write session this command occupies
+    bool redirected = false;  ///< sent at once on a kNotLeader hint, no backoff since
+    int lane = -1;            ///< >= 0: the write session this command occupies
     net::EventLoop::ConnId sent_conn = 0;
   };
   struct Lane {
@@ -117,6 +120,7 @@ class KvClient {
   SteadyClock clock_;
 
   net::EventLoop loop_;
+  net::EventLoop::ServiceId service_;  ///< the client connections (no listener)
 
   // Loop thread only while the loop runs.
   std::map<std::uint64_t, Pending> pending_;

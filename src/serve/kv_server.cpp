@@ -37,11 +37,10 @@ KvServer::~KvServer() { stop(); }
 void KvServer::start() {
   net::BoundListener listener{options_.client_listen_fd, options_.client_port};
   if (listener.fd < 0) listener = net::bind_loopback_listener(listener.port);
-  node_.loop().listen(listener, client_);
+  node_.loop().listen(client_, listener);
   node_.start();
 }
 
-// One thread: stopping the node stops the loop that serves the clients too.
 void KvServer::stop() { node_.stop(); }
 
 void KvServer::respond(net::EventLoop::ConnId conn, const Response& response) {

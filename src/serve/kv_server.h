@@ -1,13 +1,14 @@
 // One replica of the replicated KV service: a RealNode (consensus over TCP)
 // plus a client listener speaking serve::kv_wire.
 //
-// One thread per server: the client listener is a second service on the
-// RealNode's event loop, beside the raft transport, so client requests,
-// peer messages, timers and the Ready drain all run on the loop thread. The
-// client service runs in serving mode — bounded per-connection output with
-// slow-client eviction — so a client that stops reading its responses is
-// cut loose instead of pinning server memory; its stats (loop_stats())
-// count client connections only.
+// One thread per server: the RealNode owns the replica's event loop, and the
+// client listener is a service on it beside the raft transport's, attached
+// the same way (add_service + listen), so client requests, peer messages,
+// timers and the Ready drain all run on the loop thread. The client service
+// runs in serving mode — bounded per-connection output with slow-client
+// eviction — so a client that stops reading its responses is cut loose
+// instead of pinning server memory; its stats (loop_stats()) count client
+// connections only.
 //
 // Request handling:
 //   * writes (Put/Del/Cas) submit to the node and park in a pending table
@@ -58,7 +59,9 @@ class KvServer {
   KvServer(const KvServer&) = delete;
   KvServer& operator=(const KvServer&) = delete;
 
+  /// Listens for clients, then starts the node (and with it the loop).
   void start();
+  /// Stops the node's loop, which serves the clients too. Idempotent.
   void stop();
 
   /// Client-facing port (kernel-assigned when Options asked for port 0).

@@ -67,6 +67,11 @@ void SimCluster::build_node(ServerId id) {
       next = it->first + 1;
       it->second(id, grant);
     }
+    const auto probe = read_probes_.find({id, grant.id});
+    if (probe == read_probes_.end()) return;
+    // Moved out first: the completion may submit another read.
+    const auto done = std::move(probe->second.done);
+    if (done) done(grant);
     read_probes_.erase({id, grant.id});
   };
 
@@ -202,7 +207,8 @@ std::optional<LogIndex> SimCluster::submit_via_leader(std::vector<std::uint8_t> 
   return idx;
 }
 
-std::optional<raft::ReadId> SimCluster::submit_read(ServerId id) {
+std::optional<raft::ReadId> SimCluster::submit_read(
+    ServerId id, std::function<void(const raft::ReadGrant&)> done) {
   auto& host = hosts_.at(id);
   if (!host.alive || !host.node) return std::nullopt;
   // The floor is computed *before* the submission so a lease read granted
@@ -217,7 +223,8 @@ std::optional<raft::ReadId> SimCluster::submit_read(ServerId id) {
     if (h.alive && h.node) floor = std::max(floor, h.node->commit_index());
   }
   const auto read = host.node->submit_read(loop_->now());
-  if (read) read_probes_[{id, *read}] = floor;
+  // Recorded before the pump: a lease grant fires inside it.
+  if (read) read_probes_[{id, *read}] = ReadProbe{floor, std::move(done)};
   pump(id);
   return read;
 }
@@ -225,7 +232,7 @@ std::optional<raft::ReadId> SimCluster::submit_read(ServerId id) {
 std::optional<LogIndex> SimCluster::read_floor(ServerId id, raft::ReadId read) const {
   const auto it = read_probes_.find({id, read});
   if (it == read_probes_.end()) return std::nullopt;
-  return it->second;
+  return it->second.floor;
 }
 
 bool SimCluster::run_until_applied(LogIndex index, TimePoint deadline) {

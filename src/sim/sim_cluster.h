@@ -158,7 +158,11 @@ class SimCluster {
   /// ledger with its *commit floor* — the highest commit index any alive
   /// node has at issue time, which is exactly what a linearizable read must
   /// observe — so the InvariantChecker can audit the grant when it fires.
-  std::optional<raft::ReadId> submit_read(ServerId id);
+  /// `done`, when set, runs once with this read's grant or rejection, right
+  /// after the read listeners: a lease read completes before submit_read
+  /// returns, a ReadIndex read on a later pump. A node crash drops it.
+  std::optional<raft::ReadId> submit_read(
+      ServerId id, std::function<void(const raft::ReadGrant&)> done = {});
 
   /// Commit floor recorded for an outstanding read probe (see submit_read);
   /// nullopt once granted/rejected or for an unknown ticket.
@@ -166,11 +170,11 @@ class SimCluster {
 
   /// Registers a listener invoked from pump for every read completion,
   /// *after* the same pump applied all newly committed entries — so a
-  /// listener that serves `ok` grants from the replica state machine always
-  /// observes state at or beyond the grant's read index. KvCluster serves
-  /// clients through one; the InvariantChecker audits through another. The
-  /// probe ledger entry is erased right after the listeners run. Returns a
-  /// handle for remove_read_listener.
+  /// listener (or a submit_read completion) that serves `ok` grants from the
+  /// replica state machine always observes state at or beyond the grant's
+  /// read index. The InvariantChecker audits through one. The probe ledger
+  /// entry is erased right after the listeners and the read's own
+  /// completion ran. Returns a handle for remove_read_listener.
   std::size_t add_read_listener(std::function<void(ServerId, const raft::ReadGrant&)> listener);
   void remove_read_listener(std::size_t handle);
 
@@ -246,8 +250,12 @@ class SimCluster {
   std::size_t next_read_listener_handle_ = 0;
   std::function<std::vector<std::uint8_t>(ServerId)> snapshot_state_hook_;
   std::function<void(ServerId, const storage::Snapshot&)> snapshot_restore_hook_;
-  /// Outstanding read probes: (server, read id) -> commit floor at issue.
-  std::map<std::pair<ServerId, raft::ReadId>, LogIndex> read_probes_;
+  /// An outstanding read: its commit floor at issue and its completion.
+  struct ReadProbe {
+    LogIndex floor = 0;
+    std::function<void(const raft::ReadGrant&)> done;
+  };
+  std::map<std::pair<ServerId, raft::ReadId>, ReadProbe> read_probes_;
   bool started_ = false;
 };
 

@@ -192,7 +192,7 @@ TEST(PpfTest, UpToDateFollowersGetHigherPriorities) {
 }
 
 TEST(PpfTest, JitterWithinHysteresisKeepsAssignment) {
-  // Followers within lag_threshold of the best index are equally ranked;
+  // Followers within kLagThreshold of the best index are equally ranked;
   // ordinary in-flight replication jitter must not reshuffle priorities.
   Patrol p;
   p.round({{2, status(100, 0)}, {3, status(100, 0)}, {4, status(100, 0)}, {5, status(100, 0)}});

@@ -123,10 +123,9 @@ TEST(KvClusterTest, ReadsUseTheFastPathNotTheLog) {
 
 TEST(KvClusterTest, ForeignProbeGrantsDoNotDisturbClientReads) {
   // Scenario ClientRead probes share the cluster's read path with the KV
-  // client: their grants reach the KvCluster listener with no matching
-  // ticket and are stashed. A client read must neither claim a foreign
-  // grant nor wipe the stash wholesale on entry (the pre-fix behavior) —
-  // the stash may hold the very lease grant the next ticket resolves with.
+  // client. A client read completes only with the grant of its own
+  // submit_read — never a foreign probe's — including the lease grant that
+  // lands inside submit_read itself.
   SimCluster cluster(paper_escape_cluster(3, 19));
   KvCluster kv(cluster);
   sim::InvariantChecker invariants(cluster);

@@ -1,8 +1,9 @@
 // Epoll event-loop tests: ByteRing mechanics, port-0 listener adoption,
 // frame reassembly across partial transfers (tiny SO_SNDBUF/SO_RCVBUF),
-// slow-client eviction vs transport-mode overflow, a 1000-connection accept
-// storm, post()/call() and the loop-thread contract, and EINTR injection
-// through the net::testhooks syscall seams.
+// corrupt frames on a live connection, slow-client eviction vs
+// transport-mode overflow, a 1000-connection accept storm, post()/call() and
+// the loop-thread contract, and EINTR injection through the net::testhooks
+// syscall seams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -163,24 +165,23 @@ int accept_within(int listen_fd) {
 /// connection — the minimal server exercising the full read/parse/write path.
 struct EchoLoop {
   EventLoop loop;
+  EventLoop::ServiceId service;
 
-  explicit EchoLoop(EventLoop::Options options = {})
-      : loop(
-            [this] {
-              EventLoop::Handler h;
-              h.on_frames = [this](EventLoop::ConnId conn,
-                                   std::vector<std::vector<std::uint8_t>>&& frames) {
-                for (const auto& payload : frames) loop.send(conn, rpc::frame_payload(payload));
-              };
-              return h;
-            }(),
-            options) {}
+  explicit EchoLoop(EventLoop::Options options = {}) {
+    EventLoop::Handler h;
+    h.on_frames = [this](EventLoop::ConnId conn, std::vector<std::vector<std::uint8_t>>&& frames) {
+      for (const auto& payload : frames) loop.send(conn, rpc::frame_payload(payload));
+    };
+    service = loop.add_service(std::move(h), options);
+  }
 
   std::uint16_t start() {
-    loop.listen(bind_loopback_listener(0));
+    loop.listen(service, bind_loopback_listener(0));
     loop.start();
-    return loop.port();
+    return loop.port(service);
   }
+
+  const EventLoopStats& stats() const { return loop.stats(service); }
 };
 
 // --- port-0 listeners --------------------------------------------------------
@@ -199,9 +200,9 @@ TEST(EventLoopTest, AdoptsPreBoundListenerAndEchoes) {
   EchoLoop echo;
   const BoundListener listener = bind_loopback_listener(0);
   const std::uint16_t port = listener.port;
-  echo.loop.listen(listener);
+  echo.loop.listen(echo.service, listener);
   echo.loop.start();
-  EXPECT_EQ(echo.loop.port(), port);
+  EXPECT_EQ(echo.loop.port(echo.service), port);
 
   const int fd = connect_blocking(port);
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
@@ -241,7 +242,81 @@ TEST(EventLoopTest, LargeFramesSurviveTinySocketBuffers) {
   for (int i = 0; i < kCount; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], sent[static_cast<std::size_t>(i)]) << i;
   ::close(fd);
   echo.loop.stop();
-  EXPECT_GE(echo.loop.stats().frames_in.load(), static_cast<std::uint64_t>(kCount));
+  EXPECT_GE(echo.stats().frames_in.load(), static_cast<std::uint64_t>(kCount));
+}
+
+// --- corrupt frames ----------------------------------------------------------
+// The loop parses frames in place on its input rings, not through
+// rpc::FrameReader: WireTest's corrupt inputs, sent to a live service.
+
+/// True when the peer closes `fd` (EOF or reset) within 10 s without
+/// sending anything first.
+bool peer_closes(int fd) {
+  timeval tv{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::uint8_t byte;
+  for (;;) {
+    const ssize_t n = ::recv(fd, &byte, 1, 0);
+    if (n < 0 && errno == EINTR) continue;
+    return n == 0 || (n < 0 && errno == ECONNRESET);
+  }
+}
+
+TEST(EventLoopTest, CorruptFrameClosesTheConnectionAfterTheFramesBeforeIt) {
+  const std::vector<std::uint8_t> intact = {1, 2, 3};
+  const auto good = rpc::frame_payload({9, 8, 7, 6});
+  const auto edited = [&](std::size_t at, std::uint8_t value) {
+    auto frame = good;
+    frame[at] = value;
+    return frame;
+  };
+  Encoder oversized;
+  oversized.u16(rpc::kWireMagic);
+  oversized.u8(rpc::kWireVersion);
+  oversized.u8(0);
+  oversized.u32(rpc::kMaxFrameBytes + 1);
+  oversized.u32(0);
+  const std::vector<std::pair<const char*, std::vector<std::uint8_t>>> cases = {
+      {"bad magic", edited(0, good[0] ^ 0xFF)},
+      {"bad version", edited(2, 0x7E)},
+      {"nonzero flags", edited(3, 0x01)},
+      {"CRC flip", edited(good.size() - 1, good.back() ^ 0x01)},
+      {"length above kMaxFrameBytes", oversized.take()},
+  };
+
+  std::mutex mu;
+  std::vector<std::vector<std::uint8_t>> delivered;  // guarded by mu
+  EventLoop loop;
+  EventLoop::Handler h;
+  h.on_frames = [&](EventLoop::ConnId, std::vector<std::vector<std::uint8_t>>&& frames) {
+    std::lock_guard lock(mu);
+    for (auto& frame : frames) delivered.push_back(std::move(frame));
+  };
+  const EventLoop::ServiceId service = loop.add_service(std::move(h), {});
+  loop.listen(service, bind_loopback_listener(0));
+  loop.start();
+
+  std::uint64_t errors = 0;
+  for (const auto& [name, bad] : cases) {
+    SCOPED_TRACE(name);
+    {
+      std::lock_guard lock(mu);
+      delivered.clear();
+    }
+    const int fd = connect_blocking(loop.port(service));
+    auto bytes = rpc::frame_payload(intact);
+    bytes.insert(bytes.end(), bad.begin(), bad.end());
+    send_all(fd, bytes);
+    EXPECT_TRUE(peer_closes(fd)) << "the loop kept a corrupt stream open";
+    EXPECT_EQ(loop.stats(service).decode_errors.load(), ++errors);
+    {
+      std::lock_guard lock(mu);
+      EXPECT_EQ(delivered, std::vector<std::vector<std::uint8_t>>{intact});
+    }
+    ::close(fd);
+  }
+  EXPECT_EQ(loop.call([&] { return loop.connection_count(); }), 0u);
+  loop.stop();
 }
 
 // --- backpressure ------------------------------------------------------------
@@ -270,20 +345,21 @@ TEST(EventLoopTest, ServingModeEvictsSlowClient) {
       }
     }
   };
-  EventLoop loop(h, serving);
+  EventLoop loop;
   loop_ptr = &loop;
-  loop.listen(bind_loopback_listener(0));
+  const EventLoop::ServiceId service = loop.add_service(h, serving);
+  loop.listen(service, bind_loopback_listener(0));
   loop.start();
 
-  const int fd = connect_blocking(loop.port(), 4096);
+  const int fd = connect_blocking(loop.port(service), 4096);
   send_all(fd, rpc::frame_payload({1}));
 
   const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (loop.stats().evicted_slow.load() == 0 &&
+  while (loop.stats(service).evicted_slow.load() == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(5ms);
   }
-  EXPECT_EQ(loop.stats().evicted_slow.load(), 1u);
+  EXPECT_EQ(loop.stats(service).evicted_slow.load(), 1u);
   EXPECT_TRUE(overflowed.load());
   const auto gone = std::chrono::steady_clock::now() + 10s;
   const auto connections = [&] { return loop.call([&] { return loop.connection_count(); }); };
@@ -314,19 +390,20 @@ TEST(EventLoopTest, TransportModeRejectsOverflowButKeepsConnection) {
       }
     }
   };
-  EventLoop loop(h, transport);
+  EventLoop loop;
   loop_ptr = &loop;
-  loop.listen(bind_loopback_listener(0));
+  const EventLoop::ServiceId service = loop.add_service(h, transport);
+  loop.listen(service, bind_loopback_listener(0));
   loop.start();
 
-  const int fd = connect_blocking(loop.port(), 4096);
+  const int fd = connect_blocking(loop.port(service), 4096);
   send_all(fd, rpc::frame_payload({1}));
   const auto deadline = std::chrono::steady_clock::now() + 10s;
   while (rejected.load() == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(5ms);
   }
   EXPECT_GT(rejected.load(), 0);
-  EXPECT_EQ(loop.stats().evicted_slow.load(), 0u);
+  EXPECT_EQ(loop.stats(service).evicted_slow.load(), 0u);
   EXPECT_EQ(loop.call([&] { return loop.connection_count(); }), 1u);
   ::close(fd);
   loop.stop();
@@ -381,7 +458,7 @@ TEST(EventLoopTest, AcceptStormThousandConnections) {
   }
   for (auto& t : readers) t.join();
   EXPECT_EQ(echoed.load(), kConns);
-  EXPECT_GE(echo.loop.stats().accepted.load(), kConns);
+  EXPECT_GE(echo.stats().accepted.load(), kConns);
   EXPECT_EQ(echo.loop.call([&] { return echo.loop.connection_count(); }), kConns);
   for (int fd : fds) ::close(fd);
   echo.loop.stop();
@@ -392,7 +469,7 @@ TEST(EventLoopTest, AcceptStormThousandConnections) {
 TEST(EventLoopPostTest, TasksFromFourThreadsRunOnceInFifoOrderPerThread) {
   constexpr int kThreads = 4;
   constexpr int kTasks = 2000;
-  EventLoop loop(EventLoop::Handler{});
+  EventLoop loop;
   loop.start();
   std::vector<std::vector<int>> seen(kThreads);  // touched on the loop thread only
   std::atomic<int> off_loop{0};
@@ -417,7 +494,7 @@ TEST(EventLoopPostTest, TasksFromFourThreadsRunOnceInFifoOrderPerThread) {
 }
 
 TEST(EventLoopPostTest, CallReturnsItsValueFromTheLoopThread) {
-  EventLoop loop(EventLoop::Handler{});
+  EventLoop loop;
   loop.start();
   EXPECT_EQ(loop.call([] { return 42; }), 42);
   EXPECT_TRUE(loop.call([&] { return loop.on_loop_thread(); }));
@@ -434,7 +511,7 @@ TEST(EventLoopPostTest, CallReturnsItsValueFromTheLoopThread) {
 TEST(EventLoopPostTest, CallRacingStopNeitherHangsNorIsLost) {
   constexpr int kThreads = 4;
   constexpr int kCalls = 3000;
-  EventLoop loop(EventLoop::Handler{});
+  EventLoop loop;
   loop.start();
   std::atomic<int> ran{0};
   std::atomic<int> wrong{0};
@@ -461,7 +538,7 @@ TEST(EventLoopPostTest, CallRacingStopNeitherHangsNorIsLost) {
 }
 
 TEST(EventLoopPostTest, CallAndPostRunInlineWhenTheLoopIsNotRunning) {
-  EventLoop loop(EventLoop::Handler{});
+  EventLoop loop;
   const auto self = std::this_thread::get_id();
   const auto runs_on = [&] { return loop.call([] { return std::this_thread::get_id(); }); };
   EXPECT_EQ(runs_on(), self);  // before start()
@@ -476,15 +553,16 @@ TEST(EventLoopPostTest, CallAndPostRunInlineWhenTheLoopIsNotRunning) {
 
 TEST(EventLoopContractTest, OffLoopSendThrowsWhileRunningAndWorksBeforeStart) {
   const BoundListener listener = bind_loopback_listener(0);
-  EventLoop loop(EventLoop::Handler{});
+  EventLoop loop;
+  const EventLoop::ServiceId service = loop.add_service({}, {});
   // Before start() the owning thread sets the loop up directly.
-  const EventLoop::ConnId conn = loop.connect(listener.port);
+  const EventLoop::ConnId conn = loop.connect(service, listener.port);
   ASSERT_NE(conn, 0u);
   const std::vector<std::uint8_t> early = {1, 2, 3};
   EXPECT_EQ(loop.send(conn, rpc::frame_payload(early)), EventLoop::SendResult::kOk);
   loop.start();
   EXPECT_THROW(loop.send(conn, rpc::frame_payload({4})), std::logic_error);
-  EXPECT_THROW(loop.connect(listener.port), std::logic_error);
+  EXPECT_THROW(loop.connect(service, listener.port), std::logic_error);
   EXPECT_THROW(loop.close(conn), std::logic_error);
   EXPECT_THROW(loop.flush(), std::logic_error);
   EXPECT_THROW(loop.outbuf_bytes(conn), std::logic_error);
@@ -601,9 +679,10 @@ TEST(EventLoopRobustnessTest, ZeroByteSendIsRetriedWithoutAWritabilityEdge) {
   g_loop_zero_budget.store(0);
   testhooks::send_fn = &zero_once_send;
   const BoundListener listener = bind_loopback_listener(0);
-  EventLoop loop(EventLoop::Handler{});
+  EventLoop loop;
+  const EventLoop::ServiceId service = loop.add_service({}, {});
   loop.start();
-  const EventLoop::ConnId conn = loop.call([&] { return loop.connect(listener.port); });
+  const EventLoop::ConnId conn = loop.call([&] { return loop.connect(service, listener.port); });
   ASSERT_NE(conn, 0u);
   const int peer = accept_within(listener.fd);
   ASSERT_GE(peer, 0);

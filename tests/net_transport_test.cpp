@@ -33,8 +33,8 @@ namespace {
 using namespace std::chrono_literals;
 
 /// Kernel-assigned ports for a set of members: binds one port-0 listener per
-/// id and keeps the open fds for the transports to adopt (TransportOptions /
-/// RealNode::Options listen_fd).
+/// id and keeps the open fds for the transports to adopt (TcpTransport's
+/// listener / RealNode::Options listen_fd).
 struct Port0Cluster {
   std::map<ServerId, std::uint16_t> endpoints;
   std::map<ServerId, int> fds;
@@ -47,10 +47,23 @@ struct Port0Cluster {
     }
   }
 
-  TransportOptions options_for(ServerId id, TransportOptions base = {}) {
-    base.listen_fd = fds.at(id);
-    return base;
-  }
+  BoundListener listener(ServerId id) const { return {fds.at(id), endpoints.at(id)}; }
+};
+
+/// A transport on its own event loop, the way RealNode hosts one. The test
+/// starts and stops the loop; destruction stops it before the transport
+/// goes.
+struct LoopTransport {
+  EventLoop loop;
+  TcpTransport transport;
+
+  LoopTransport(ServerId self, std::map<ServerId, std::uint16_t> endpoints, BoundListener listener,
+                TcpTransport::DeliverFn deliver, EventLoop::Options options = {})
+      : transport(loop, self, std::move(endpoints), std::move(deliver), listener, options) {}
+  LoopTransport(ServerId self, const Port0Cluster& ports, TcpTransport::DeliverFn deliver,
+                EventLoop::Options options = {})
+      : LoopTransport(self, ports.endpoints, ports.listener(self), std::move(deliver), options) {}
+  ~LoopTransport() { loop.stop(); }
 };
 
 /// A loopback port that is currently free: bound, discovered, and released.
@@ -74,9 +87,9 @@ rpc::Message probe_message(Term term) {
 
 /// Sends from the test thread the way any thread other than the loop's
 /// must: posted onto the transport's loop (call waits until it ran, so a
-/// test can check the transport's stats right after).
-void send_from_test(TcpTransport& transport, const rpc::Envelope& envelope) {
-  transport.loop().call([&] { transport.send(envelope); });
+/// test can check the transport's counters right after).
+void send_from_test(LoopTransport& t, const rpc::Envelope& envelope) {
+  t.loop.call([&] { t.transport.send(envelope); });
 }
 
 struct Mailbox {
@@ -104,12 +117,10 @@ struct Mailbox {
 TEST(TcpTransportTest, DeliversBetweenTwoEndpoints) {
   Port0Cluster ports({1, 2});
   Mailbox inbox1, inbox2;
-  TcpTransport t1(1, ports.endpoints, inbox1.sink(),
-                  ports.options_for(1));
-  TcpTransport t2(2, ports.endpoints, inbox2.sink(),
-                  ports.options_for(2));
-  t1.start();
-  t2.start();
+  LoopTransport t1(1, ports, inbox1.sink());
+  LoopTransport t2(2, ports, inbox2.sink());
+  t1.loop.start();
+  t2.loop.start();
 
   send_from_test(t1, {1, 2, probe_message(7)});
   ASSERT_TRUE(inbox2.wait_for_count(1, 5000ms));
@@ -122,18 +133,17 @@ TEST(TcpTransportTest, DeliversBetweenTwoEndpoints) {
   ASSERT_TRUE(inbox1.wait_for_count(1, 5000ms));
   EXPECT_EQ(inbox1.messages[0].message, probe_message(8));
 
-  t1.stop();
-  t2.stop();
+  t1.loop.stop();
+  t2.loop.stop();
 }
 
 TEST(TcpTransportTest, ManyMessagesArriveInOrder) {
   Port0Cluster ports({1, 2});
   Mailbox inbox;
-  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
-  TcpTransport t2(2, ports.endpoints, inbox.sink(),
-                  ports.options_for(2));
-  t1.start();
-  t2.start();
+  LoopTransport t1(1, ports, nullptr);
+  LoopTransport t2(2, ports, inbox.sink());
+  t1.loop.start();
+  t2.loop.start();
 
   constexpr int kCount = 500;
   for (int i = 0; i < kCount; ++i) {
@@ -144,17 +154,17 @@ TEST(TcpTransportTest, ManyMessagesArriveInOrder) {
     const auto& rv = std::get<rpc::RequestVote>(inbox.messages[static_cast<std::size_t>(i)].message);
     EXPECT_EQ(rv.term, i);  // single TCP stream preserves order
   }
-  t1.stop();
-  t2.stop();
+  t1.loop.stop();
+  t2.loop.stop();
 }
 
 TEST(TcpTransportTest, SendToUnknownPeerDrops) {
   Port0Cluster ports({1});
-  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
-  t1.start();
+  LoopTransport t1(1, ports, nullptr);
+  t1.loop.start();
   send_from_test(t1, {1, 99, probe_message(1)});
-  EXPECT_EQ(t1.stats().dropped.load(), 1u);
-  t1.stop();
+  EXPECT_EQ(t1.loop.call([&] { return t1.transport.dropped(); }), 1u);
+  t1.loop.stop();
 }
 
 TEST(TcpTransportTest, SendToDeadPeerDoesNotBlock) {
@@ -162,30 +172,31 @@ TEST(TcpTransportTest, SendToDeadPeerDoesNotBlock) {
   // Peer 2's port has no listener.
   auto endpoints = ports.endpoints;
   endpoints[2] = dead_port();
-  TcpTransport t1(1, endpoints, nullptr, ports.options_for(1));
-  t1.start();
+  LoopTransport t1(1, endpoints, ports.listener(1), nullptr);
+  t1.loop.start();
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 100; ++i) send_from_test(t1, {1, 2, probe_message(i)});
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, 1s);  // connection failure must not stall the sender
-  t1.stop();
+  t1.loop.stop();
 }
 
 TEST(TcpTransportTest, RequiresSelfEndpoint) {
-  EXPECT_THROW(TcpTransport(1, {{2, 1234}}, nullptr),
+  EventLoop loop;
+  EXPECT_THROW(TcpTransport(loop, 1, {{2, 1234}}, nullptr, BoundListener{}),
                std::invalid_argument);
 }
 
 TEST(TcpTransportTest, StopIsIdempotent) {
   Port0Cluster ports({1});
-  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
-  t1.start();
-  t1.stop();
-  t1.stop();  // second stop is a no-op
+  LoopTransport t1(1, ports, nullptr);
+  t1.loop.start();
+  t1.loop.stop();
+  t1.loop.stop();  // second stop is a no-op
 }
 
 // --- robustness: EINTR and short writes --------------------------------------
-// The syscall seams (net/tcp_transport.h testhooks) stand in for the kernel:
+// The syscall seams (net/event_loop.h testhooks) stand in for the kernel:
 // they return the exact (-1, EINTR) / short-count / (0, stale errno) shapes
 // the sockets API is allowed to produce, while a real no-op SIGUSR1 raised
 // mid-transfer makes the interrupts genuine signal deliveries rather than
@@ -262,11 +273,10 @@ TEST(TcpTransportRobustnessTest, SurvivesEintrDuringRecv) {
 
   Port0Cluster ports({1, 2});
   Mailbox inbox;
-  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
-  TcpTransport t2(2, ports.endpoints, inbox.sink(),
-                  ports.options_for(2));
-  t1.start();
-  t2.start();
+  LoopTransport t1(1, ports, nullptr);
+  LoopTransport t2(2, ports, inbox.sink());
+  t1.loop.start();
+  t2.loop.start();
 
   constexpr int kCount = 200;
   for (int i = 0; i < kCount; ++i) send_from_test(t1, {1, 2, probe_message(i)});
@@ -279,8 +289,8 @@ TEST(TcpTransportRobustnessTest, SurvivesEintrDuringRecv) {
     EXPECT_EQ(rv.term, i);
   }
   EXPECT_GT(g_recv_calls.load(), 0);
-  t1.stop();
-  t2.stop();
+  t1.loop.stop();
+  t2.loop.stop();
 }
 
 TEST(TcpTransportRobustnessTest, SurvivesEintrAndShortWritesDuringSend) {
@@ -291,11 +301,10 @@ TEST(TcpTransportRobustnessTest, SurvivesEintrAndShortWritesDuringSend) {
 
   Port0Cluster ports({1, 2});
   Mailbox inbox;
-  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
-  TcpTransport t2(2, ports.endpoints, inbox.sink(),
-                  ports.options_for(2));
-  t1.start();
-  t2.start();
+  LoopTransport t1(1, ports, nullptr);
+  LoopTransport t2(2, ports, inbox.sink());
+  t1.loop.start();
+  t2.loop.start();
 
   constexpr int kCount = 300;
   for (int i = 0; i < kCount; ++i) send_from_test(t1, {1, 2, probe_message(i)});
@@ -305,8 +314,8 @@ TEST(TcpTransportRobustnessTest, SurvivesEintrAndShortWritesDuringSend) {
   for (int i = 0; i < kCount; ++i) {
     EXPECT_EQ(inbox.messages[static_cast<std::size_t>(i)].message, probe_message(i));
   }
-  t1.stop();
-  t2.stop();
+  t1.loop.stop();
+  t2.loop.stop();
 }
 
 TEST(TcpTransportRobustnessTest, ZeroByteSendDoesNotActOnStaleErrno) {
@@ -316,11 +325,10 @@ TEST(TcpTransportRobustnessTest, ZeroByteSendDoesNotActOnStaleErrno) {
 
   Port0Cluster ports({1, 2});
   Mailbox inbox;
-  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
-  TcpTransport t2(2, ports.endpoints, inbox.sink(),
-                  ports.options_for(2));
-  t1.start();
-  t2.start();
+  LoopTransport t1(1, ports, nullptr);
+  LoopTransport t2(2, ports, inbox.sink());
+  t1.loop.start();
+  t2.loop.start();
 
   // Pre-fix, the 0 return fell through to the stale-ECONNRESET branch and
   // closed the connection with this frame still queued — losing it.
@@ -328,8 +336,8 @@ TEST(TcpTransportRobustnessTest, ZeroByteSendDoesNotActOnStaleErrno) {
   ASSERT_TRUE(inbox.wait_for_count(1, 5000ms))
       << "frame queued behind a 0-byte send() was lost";
   EXPECT_EQ(inbox.messages[0].message, probe_message(1));
-  t1.stop();
-  t2.stop();
+  t1.loop.stop();
+  t2.loop.stop();
 }
 
 TEST(TcpTransportRobustnessTest, SurvivesEintrDuringAccept) {
@@ -339,34 +347,32 @@ TEST(TcpTransportRobustnessTest, SurvivesEintrDuringAccept) {
 
   Port0Cluster ports({1, 2});
   Mailbox inbox;
-  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1));
-  TcpTransport t2(2, ports.endpoints, inbox.sink(),
-                  ports.options_for(2));
-  t1.start();
-  t2.start();
+  LoopTransport t1(1, ports, nullptr);
+  LoopTransport t2(2, ports, inbox.sink());
+  t1.loop.start();
+  t2.loop.start();
 
   send_from_test(t1, {1, 2, probe_message(3)});
   ASSERT_TRUE(inbox.wait_for_count(1, 5000ms));
   EXPECT_EQ(inbox.messages[0].message, probe_message(3));
-  t1.stop();
-  t2.stop();
+  t1.loop.stop();
+  t2.loop.stop();
 }
 
 TEST(TcpTransportRobustnessTest, FramesSurviveTinySendBuffer) {
   // A 1-entry AppendEntries with a 64 KiB command dwarfs SO_SNDBUF, so every
   // frame crosses many partial send() calls; CRC framing must reassemble
   // each one intact.
-  TransportOptions tiny;
+  EventLoop::Options tiny;
   tiny.sndbuf = 4096;
   tiny.rcvbuf = 4096;
 
   Port0Cluster ports({1, 2});
   Mailbox inbox;
-  TcpTransport t1(1, ports.endpoints, nullptr, ports.options_for(1, tiny));
-  TcpTransport t2(2, ports.endpoints, inbox.sink(),
-                  ports.options_for(2, tiny));
-  t1.start();
-  t2.start();
+  LoopTransport t1(1, ports, nullptr, tiny);
+  LoopTransport t2(2, ports, inbox.sink(), tiny);
+  t1.loop.start();
+  t2.loop.start();
 
   auto bulk_message = [](int i) -> rpc::Message {
     rpc::AppendEntries ae;
@@ -388,8 +394,8 @@ TEST(TcpTransportRobustnessTest, FramesSurviveTinySendBuffer) {
   for (int i = 0; i < kCount; ++i) {
     EXPECT_EQ(inbox.messages[static_cast<std::size_t>(i)].message, bulk_message(i));
   }
-  t1.stop();
-  t2.stop();
+  t1.loop.stop();
+  t2.loop.stop();
 }
 
 // --- real-time cluster -------------------------------------------------------
@@ -640,10 +646,10 @@ class SendCheckingWal final : public storage::Wal {
   void sync() override {
     if (!armed_.load()) return;
     syncs.fetch_add(1);
-    if (t_frames_written != loop->stats().frames_out.load()) unsent_at_sync.fetch_add(1);
+    if (t_frames_written != raft->frames_out.load()) unsent_at_sync.fetch_add(1);
   }
 
-  const EventLoop* loop = nullptr;  ///< set before start()
+  const EventLoopStats* raft = nullptr;  ///< the node's raft service; set before start()
   std::atomic<int> syncs{0};
   std::atomic<int> unsent_at_sync{0};
 
@@ -670,7 +676,7 @@ TEST(RealClusterTest, EachBatchReachesTheSocketsBeforeTheNextSync) {
     stores.wal = std::move(wal);
     nodes.push_back(
         std::make_unique<RealNode>(id, ports.endpoints, fast_escape(), options, std::move(stores)));
-    wals.back()->loop = &nodes.back()->loop();
+    wals.back()->raft = &nodes.back()->raft_stats();
     nodes.back()->set_snapshot_hook([] { return std::vector<std::uint8_t>(16, 0x5A); });
   }
   for (auto& node : nodes) node->start();

@@ -1,7 +1,8 @@
 // Serving-layer tests: a real 3-node KvServer cluster on port-0 listeners,
 // driven both through KvClient (leader tracking, retries) and through raw
 // sockets speaking serve::kv_wire (redirects, session dedup), plus KvClient
-// alone against a listener that never answers (deadlines, stop()).
+// alone against a listener that never answers (deadlines, stop()) and
+// against scripted servers (following leader hints).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -525,6 +526,87 @@ TEST(KvClientTest, TimeoutCompletesAtItsDeadlineWithoutASweep) {
   EXPECT_EQ(client.outstanding(), 0u);
   client.stop();
   ::close(silent.fd);
+}
+
+// --- KvClient against scripted servers --------------------------------------
+
+/// A server that answers every request with one fixed status and leader
+/// hint, counting the requests it received. Its loop runs from construction
+/// to destruction.
+struct ScriptedServer {
+  net::EventLoop loop;
+  net::EventLoop::ServiceId service;
+  std::atomic<int> requests{0};
+
+  ScriptedServer(Status status, ServerId hint) {
+    net::EventLoop::Handler h;
+    h.on_frames = [this, status, hint](net::EventLoop::ConnId conn,
+                                       std::vector<std::vector<std::uint8_t>>&& frames) {
+      for (const auto& payload : frames) {
+        const auto request = decode_request(payload);
+        if (!request) continue;
+        requests.fetch_add(1);
+        Response response;
+        response.request_id = request->request_id;
+        response.status = status;
+        response.leader_hint = hint;
+        loop.send(conn, rpc::frame_payload(encode_response(response)));
+      }
+    };
+    service = loop.add_service(std::move(h), {});
+    loop.listen(service, net::bind_loopback_listener(0));
+    loop.start();
+  }
+  ~ScriptedServer() { loop.stop(); }
+
+  std::uint16_t port() const { return loop.port(service); }
+};
+
+// The client's backoff before resending a refused command (kv_client.cpp).
+constexpr auto kRetryBackoff = 10ms;
+
+TEST(KvClientTest, NotLeaderHintIsFollowedAtOnce) {
+  // S1 (the client's first guess) points at S2, which answers. Waiting out
+  // the retry backoff before asking S2 would take at least kRetryBackoff.
+  ScriptedServer s1(Status::kNotLeader, 2);
+  ScriptedServer s2(Status::kOk, kNoServer);
+  KvClient client({{1, s1.port()}, {2, s2.port()}}, 70'000);
+  client.start();
+
+  using Clock = std::chrono::steady_clock;
+  std::promise<std::pair<Status, Clock::time_point>> done;
+  auto outcome = done.get_future();
+  const Clock::time_point submitted = Clock::now();
+  client.submit(put("alpha", "1"), [&done](Status status, const kv::CommandResult&) {
+    done.set_value({status, Clock::now()});
+  });
+  ASSERT_EQ(outcome.wait_for(5s), std::future_status::ready);
+  const auto [status, at] = outcome.get();
+  EXPECT_EQ(status, Status::kOk);
+  EXPECT_LT(at - submitted, kRetryBackoff) << "the redirect waited for the backoff";
+  EXPECT_EQ(s1.requests.load(), 1);
+  EXPECT_EQ(s2.requests.load(), 1);
+  client.stop();
+}
+
+TEST(KvClientTest, ServersHintingEachOtherDoNotSpinTheClient) {
+  // Mid-election, S1 and S2 may each name the other. A redirect that
+  // bounces straight back waits the backoff, so each server sees about one
+  // request per backoff period until the deadline ends the command.
+  ScriptedServer s1(Status::kNotLeader, 2);
+  ScriptedServer s2(Status::kNotLeader, 1);
+  KvClient::Options options;
+  options.timeout = from_ms(200);
+  KvClient client({{1, s1.port()}, {2, s2.port()}}, 80'000, options);
+  client.start();
+
+  const auto [status, result] = sync_op(client, put("alpha", "1"));
+  EXPECT_EQ(status, Status::kTimeout);
+  constexpr int kMaxRequests = 200 / 10 + 2;
+  EXPECT_GE(s1.requests.load(), 1);
+  EXPECT_LE(s1.requests.load(), kMaxRequests);
+  EXPECT_LE(s2.requests.load(), kMaxRequests);
+  client.stop();
 }
 
 TEST(KvClientTest, StopCompletesPostedButUnrunSubmitsWithRetry) {

@@ -119,6 +119,28 @@ TEST(SimClusterTest, ApplyHookObservesEveryCommit) {
   }
 }
 
+TEST(SimClusterTest, LeaseReadCompletesBeforeSubmitReadReturns) {
+  SimCluster cluster(paper_escape_cluster(3, 17));
+  const ServerId leader = sim::bootstrap(cluster);
+  ASSERT_NE(leader, kNoServer);
+  ASSERT_TRUE(cluster.submit_via_leader({1}).has_value());
+  // Quorum-acknowledged heartbeat rounds establish the lease.
+  cluster.loop().run_until(cluster.loop().now() + from_ms(2000));
+  ASSERT_EQ(cluster.leader(), leader);
+
+  std::vector<raft::ReadGrant> grants;
+  const auto read =
+      cluster.submit_read(leader, [&](const raft::ReadGrant& grant) { grants.push_back(grant); });
+  ASSERT_TRUE(read.has_value());
+  ASSERT_EQ(grants.size(), 1u) << "the lease read did not complete inside submit_read";
+  EXPECT_EQ(grants[0].id, *read);
+  EXPECT_TRUE(grants[0].ok);
+  EXPECT_TRUE(grants[0].via_lease);
+  EXPECT_FALSE(cluster.read_floor(leader, *read).has_value());  // ledger entry gone
+  cluster.loop().run_until(cluster.loop().now() + from_ms(1000));
+  EXPECT_EQ(grants.size(), 1u);  // once
+}
+
 TEST(SimClusterTest, EventLogClearKeepsListeners) {
   SimCluster cluster(paper_escape_cluster(3, 9));
   int events = 0;
