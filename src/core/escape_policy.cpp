@@ -1,7 +1,7 @@
 #include "core/escape_policy.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "common/logging.h"
 
@@ -32,7 +32,9 @@ constexpr LogIndex kBacklogLagThreshold = 64;
 
 EscapePolicy::EscapePolicy(ServerId self, std::size_t cluster_size, EscapeOptions options)
     : self_(self), n_(cluster_size), options_(options) {
-  assert(cluster_size >= 1);
+  if (cluster_size < 1) {
+    throw std::invalid_argument("ESCAPE needs a cluster of at least one server");
+  }
   current_ = initial_configuration(options_, n_, self_);
 }
 
@@ -77,10 +79,10 @@ Duration EscapePolicy::sample_election_timeout(Rng&) {
 
 void EscapePolicy::on_become_leader(const std::vector<ServerId>& others, Term term) {
   leading_ = true;
-  followers_ = others;
-  std::sort(followers_.begin(), followers_.end());
-  probes_.clear();
-  assignments_.clear();
+  std::vector<ServerId> ids = others;
+  std::sort(ids.begin(), ids.end());
+  followers_.clear();
+  for (ServerId f : ids) followers_.push_back(Follower::fresh(f));
   rounds_since_patrol_ = 0;
   patrol_round_pending_ = false;
   // Continue the clock from the freshest value this server has ever seen so
@@ -90,7 +92,6 @@ void EscapePolicy::on_become_leader(const std::vector<ServerId>& others, Term te
   // a clock and crashed before any follower learned of it (Lemma 3 must
   // survive that window; see kConfClockStride).
   round_clock_ = std::max({round_clock_, max_clock_seen_, term * kConfClockStride});
-  for (ServerId f : followers_) probes_[f];  // default probe entries
 }
 
 void EscapePolicy::on_membership_changed(const std::vector<ServerId>& voter_others,
@@ -100,44 +101,54 @@ void EscapePolicy::on_membership_changed(const std::vector<ServerId>& voter_othe
   // learner bootstrapping with zero known voters keeps n >= 1.
   n_ = std::max<std::size_t>(1, n_voters);
   if (!leading_) return;
-  std::vector<ServerId> next = voter_others;
-  std::sort(next.begin(), next.end());
-  if (next == followers_) return;
-  followers_ = std::move(next);
-  for (auto it = probes_.begin(); it != probes_.end();) {
-    if (!std::binary_search(followers_.begin(), followers_.end(), it->first)) {
-      it = probes_.erase(it);
-    } else {
-      ++it;
-    }
+  std::vector<ServerId> ids = voter_others;
+  std::sort(ids.begin(), ids.end());
+  if (std::equal(ids.begin(), ids.end(), followers_.begin(), followers_.end(),
+                 [](ServerId id, const Follower& f) { return id == f.id; })) {
+    return;
   }
-  for (ServerId f : followers_) probes_[f];  // default probe entries for newcomers
-  // Force a full re-deal at the next heartbeat round: with assignments_
-  // empty the patrol sees changed=true and mints a fresh confClock, so the
-  // whole pool {2..n} is re-issued over the new voter set in one generation
-  // — a reconfig can never leave two servers sharing a (P, k) pair from
-  // different-n ladders (Lemma 3 across reconfigs).
-  assignments_.clear();
+  // Continuing followers keep their probes; newcomers start from defaults.
+  // Every deal is dropped to force a full re-deal at the next heartbeat
+  // round: with no assignment standing the patrol sees changed=true and
+  // mints a fresh confClock, so the whole pool {2..n} is re-issued over the
+  // new voter set in one generation — a reconfig can never leave two
+  // servers sharing a (P, k) pair from different-n ladders (Lemma 3 across
+  // reconfigs).
+  std::vector<Follower> next;
+  next.reserve(ids.size());
+  auto kept = followers_.begin();
+  for (ServerId id : ids) {
+    while (kept != followers_.end() && kept->id < id) ++kept;
+    next.push_back(kept != followers_.end() && kept->id == id ? *kept : Follower::fresh(id));
+    next.back().assignment.reset();
+  }
+  followers_ = std::move(next);
   rounds_since_patrol_ = options_.patrol_every;  // patrol immediately
   patrol_round_pending_ = false;
 }
 
+EscapePolicy::Follower* EscapePolicy::find_follower(ServerId id) {
+  const auto it = std::lower_bound(followers_.begin(), followers_.end(), id,
+                                   [](const Follower& f, ServerId s) { return f.id < s; });
+  return it != followers_.end() && it->id == id ? &*it : nullptr;
+}
+
 void EscapePolicy::on_follower_status(ServerId from, const rpc::ConfigStatus& status) {
   if (!leading_) return;
-  auto it = probes_.find(from);
-  if (it == probes_.end()) return;
-  it->second.log_index = status.log_index;
-  it->second.adopted_clock = status.conf_clock;
+  Follower* f = find_follower(from);
+  if (f == nullptr) return;
+  f->log_index = status.log_index;
+  f->adopted_clock = status.conf_clock;
   if (status.conf_clock > max_clock_seen_) max_clock_seen_ = status.conf_clock;
 }
 
 void EscapePolicy::on_follower_backlog(ServerId follower, LogIndex backlog,
                                        std::size_t inflight) {
   if (!leading_) return;
-  auto it = probes_.find(follower);
-  if (it == probes_.end()) return;
-  it->second.backlog = backlog;
-  it->second.inflight = inflight;
+  Follower* f = find_follower(follower);
+  if (f == nullptr) return;
+  f->backlog = backlog;
+  f->inflight = inflight;
 }
 
 void EscapePolicy::begin_heartbeat_round() {
@@ -167,43 +178,42 @@ void EscapePolicy::run_patrol() {
   // laggards are demoted. This keeps assignments (and hence the confClock)
   // stable under replication jitter and message loss.
   LogIndex best = 0;
-  for (ServerId f : followers_) best = std::max(best, probes_.at(f).log_index);
+  for (const Follower& f : followers_) best = std::max(best, f.log_index);
   // Pipeline feedback (see kBacklogLagThreshold): demotion
   // keys off the backlog *relative to the least-owed follower*, so a
   // symmetric write storm — every window equally full — demotes nobody.
   LogIndex min_backlog = 0;
   bool any_backlog = false;
-  for (ServerId f : followers_) {
-    const LogIndex b = probes_.at(f).backlog;
-    if (!any_backlog || b < min_backlog) min_backlog = b;
+  for (const Follower& f : followers_) {
+    if (!any_backlog || f.backlog < min_backlog) min_backlog = f.backlog;
     any_backlog = true;
   }
-  const auto lagging = [&](ServerId f) {
-    const FollowerProbe& probe = probes_.at(f);
-    return best - probe.log_index > kLagThreshold ||
-           probe.backlog - min_backlog > kBacklogLagThreshold;
-  };
-  const auto previous_priority = [&](ServerId f) -> Priority {
-    const auto it = assignments_.find(f);
-    return it == assignments_.end() ? 0 : it->second.priority;
-  };
-  std::vector<ServerId> order = followers_;
-  std::sort(order.begin(), order.end(), [&](ServerId a, ServerId b) {
-    const bool la = lagging(a);
-    const bool lb = lagging(b);
-    if (la != lb) return !la;  // healthy followers outrank laggards
-    if (la) {                  // among laggards, least-behind first
-      const auto ia = probes_.at(a).log_index;
-      const auto ib = probes_.at(b).log_index;
-      if (ia != ib) return ia > ib;
-      const auto ba = probes_.at(a).backlog;  // then least-owed first
-      const auto bb = probes_.at(b).backlog;
-      if (ba != bb) return ba < bb;
+  // Each follower's rank is computed once. Healthy followers outrank
+  // laggards; among laggards the least-behind, then the least-owed, go
+  // first (a healthy follower's key zeroes both, so they never separate
+  // healthy ones); then the standing order holds; the id breaks the last
+  // tie (SCA id seed). Ids are unique, so the order is total.
+  rank_.clear();
+  for (std::size_t i = 0; i < followers_.size(); ++i) {
+    const Follower& f = followers_[i];
+    RankKey k;
+    k.lagging =
+        best - f.log_index > kLagThreshold || f.backlog - min_backlog > kBacklogLagThreshold;
+    if (k.lagging) {
+      k.log_index = f.log_index;
+      k.backlog = f.backlog;
     }
-    const auto pa = previous_priority(a);
-    const auto pb = previous_priority(b);
-    if (pa != pb) return pa > pb;  // stable: keep the standing order
-    return a > b;                  // deterministic tiebreak (SCA id seed)
+    k.previous = f.assignment ? f.assignment->priority : 0;
+    k.id = f.id;
+    k.slot = i;
+    rank_.push_back(k);
+  }
+  std::sort(rank_.begin(), rank_.end(), [](const RankKey& a, const RankKey& b) {
+    if (a.lagging != b.lagging) return !a.lagging;
+    if (a.log_index != b.log_index) return a.log_index > b.log_index;
+    if (a.backlog != b.backlog) return a.backlog < b.backlog;
+    if (a.previous != b.previous) return a.previous > b.previous;
+    return a.id > b.id;
   });
 
   // Prospective distribution of the pool {n, n-1, ..., 2}; the leader parks
@@ -214,11 +224,11 @@ void EscapePolicy::run_patrol() {
   // Lemma 3 violation the clock rules out. The lowest-ranked voter keeps
   // its standing (older-clock) assignment until the next leadership deals
   // a full pool.
-  std::map<ServerId, Priority> proposed;
+  proposed_.assign(followers_.size(), 0);
   Priority p = static_cast<Priority>(n_);
-  for (ServerId f : order) {
+  for (const RankKey& k : rank_) {
     if (p < 2) break;
-    proposed[f] = p--;
+    proposed_[k.slot] = p--;
   }
 
   // The configuration clock stamps *rearrangement generations*: it advances
@@ -227,25 +237,23 @@ void EscapePolicy::run_patrol() {
   // missed). Re-broadcasting an unchanged assignment keeps the same clock,
   // so followers that were omitted by a lossy round converge to it without
   // penalizing everyone else's freshness.
-  bool changed = assignments_.empty() || max_clock_seen_ > round_clock_;
-  if (!changed) {
-    for (const auto& [f, prio] : proposed) {
-      const auto it = assignments_.find(f);
-      if (it == assignments_.end() || it->second.priority != prio) {
-        changed = true;
-        break;
-      }
-    }
+  bool changed = max_clock_seen_ > round_clock_ ||
+                 std::none_of(followers_.begin(), followers_.end(),
+                              [](const Follower& f) { return f.assignment.has_value(); });
+  for (std::size_t i = 0; !changed && i < followers_.size(); ++i) {
+    const auto& standing = followers_[i].assignment;
+    changed = proposed_[i] != 0 && (!standing || standing->priority != proposed_[i]);
   }
   if (!changed) return;
 
   round_clock_ = std::max(round_clock_, max_clock_seen_) + 1;
-  for (const auto& [f, prio] : proposed) {
+  for (std::size_t i = 0; i < followers_.size(); ++i) {
+    if (proposed_[i] == 0) continue;
     rpc::Configuration c;
-    c.priority = prio;
+    c.priority = proposed_[i];
     c.timer_period = election_period(options_, n_, c.priority);
     c.conf_clock = round_clock_;
-    assignments_[f] = c;
+    followers_[i].assignment = c;
   }
   current_.priority = 1;
   current_.timer_period = election_period(options_, n_, 1);
@@ -254,17 +262,23 @@ void EscapePolicy::run_patrol() {
 }
 
 std::optional<rpc::Configuration> EscapePolicy::config_for(ServerId dest) {
-  if (!leading_ || !options_.enable_ppf || !patrol_round_pending_) return std::nullopt;
-  const auto it = assignments_.find(dest);
-  if (it == assignments_.end()) return std::nullopt;
-  return it->second;
+  if (!patrol_round_pending_) return std::nullopt;
+  return assignment_for(dest);
 }
 
 std::optional<rpc::Configuration> EscapePolicy::assignment_for(ServerId dest) {
   if (!leading_ || !options_.enable_ppf) return std::nullopt;
-  const auto it = assignments_.find(dest);
-  if (it == assignments_.end()) return std::nullopt;
-  return it->second;
+  const Follower* f = find_follower(dest);
+  if (f == nullptr) return std::nullopt;
+  return f->assignment;
+}
+
+std::map<ServerId, rpc::Configuration> EscapePolicy::assignments() const {
+  std::map<ServerId, rpc::Configuration> out;
+  for (const Follower& f : followers_) {
+    if (f.assignment) out.emplace(f.id, *f.assignment);
+  }
+  return out;
 }
 
 }  // namespace escape::core

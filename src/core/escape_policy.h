@@ -19,6 +19,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,8 +64,9 @@ class EscapePolicy final : public raft::ElectionPolicy {
 
   // --- introspection (tests, invariant checkers) --------------------------
   const EscapeOptions& options() const { return options_; }
-  /// Leader-side view of the current assignment (empty on followers).
-  const std::map<ServerId, rpc::Configuration>& assignments() const { return assignments_; }
+  /// Leader-side view of the current assignment by follower id (empty on a
+  /// server that never led).
+  std::map<ServerId, rpc::Configuration> assignments() const;
   /// The configuration clock of the most recent patrol round issued by this
   /// server while leading.
   ConfClock issued_clock() const { return round_clock_; }
@@ -83,15 +85,39 @@ class EscapePolicy final : public raft::ElectionPolicy {
   rpc::Configuration current_;
 
   // --- leader-only state ---------------------------------------------------
-  struct FollowerProbe {
+  /// One patrolled follower: what it last reported and what it was dealt.
+  struct Follower {
+    ServerId id = kNoServer;
     LogIndex log_index = 0;        ///< last reported log responsiveness
     ConfClock adopted_clock = -1;  ///< clock the follower reports adopted
     LogIndex backlog = 0;          ///< entries the leader still owes (pipeline)
     std::size_t inflight = 0;      ///< optimistic batches in flight to it
+    /// Its current deal, if any.
+    std::optional<rpc::Configuration> assignment;
+
+    /// Default probe, no deal.
+    static Follower fresh(ServerId id) {
+      Follower f;
+      f.id = id;
+      return f;
+    }
   };
-  std::vector<ServerId> followers_;
-  std::map<ServerId, FollowerProbe> probes_;
-  std::map<ServerId, rpc::Configuration> assignments_;
+  /// A follower's patrol rank, computed once per round (see run_patrol).
+  struct RankKey {
+    bool lagging = false;
+    LogIndex log_index = 0;  ///< laggards only; 0 for healthy followers
+    LogIndex backlog = 0;    ///< laggards only; 0 for healthy followers
+    Priority previous = 0;   ///< standing priority (0 = none)
+    ServerId id = kNoServer;
+    std::size_t slot = 0;  ///< index into followers_
+  };
+  /// Sorted by id; binary-searched by follower id.
+  std::vector<Follower> followers_;
+  Follower* find_follower(ServerId id);
+  // Patrol scratch, reused across rounds; proposed_ is parallel to
+  // followers_ (0 = not dealt).
+  std::vector<RankKey> rank_;
+  std::vector<Priority> proposed_;
   ConfClock round_clock_ = 0;     ///< clock of the last issued rearrangement
   ConfClock max_clock_seen_ = 0;  ///< highest clock observed anywhere
   int rounds_since_patrol_ = 0;

@@ -1,8 +1,9 @@
 #include "raft/raft_node.h"
 
 #include <algorithm>
-#include <cassert>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -121,21 +122,19 @@ void RaftNode::set_membership(rpc::Membership m, LogIndex at, TimePoint now) {
   if (role_ == Role::kLeader) {
     // Newcomers start probing from the log tail (their first NACK or
     // snapshot walks the cursor back); departed peers drop out of
-    // replication immediately.
+    // replication immediately. Both lists are sorted by id.
+    std::vector<Peer> next;
+    next.reserve(others_.size());
+    auto kept = peers_.begin();
     for (ServerId peer : others_) {
-      if (progress_.find(peer) == progress_.end()) {
-        progress_[peer] = Progress{log_.last_index() + 1, 0, 0, false};
-      }
-    }
-    for (auto it = progress_.begin(); it != progress_.end();) {
-      if (std::find(others_.begin(), others_.end(), it->first) == others_.end()) {
-        install_sent_round_.erase(it->first);
-        acked_round_.erase(it->first);
-        it = progress_.erase(it);
+      while (kept != peers_.end() && kept->id < peer) ++kept;
+      if (kept != peers_.end() && kept->id == peer) {
+        next.push_back(std::move(*kept));
       } else {
-        ++it;
+        next.push_back({peer, Progress{log_.last_index() + 1, 0, 0, false}, 0, std::nullopt});
       }
     }
+    peers_ = std::move(next);
   }
   // ESCAPE re-deal: Eq. 1's ladder depends on n, so the policy must learn
   // the new voter count (followers too — their fallback period recomputes);
@@ -204,7 +203,7 @@ bool RaftNode::votes_win() const {
 
 RaftNode::ConfChangeResult RaftNode::propose_conf_change(const ConfChange& change,
                                                          TimePoint now) {
-  assert(started_);
+  require_started();
   assert_inputs_allowed();
   ConfChangeResult out;
   if (role_ != Role::kLeader) {
@@ -224,8 +223,8 @@ RaftNode::ConfChangeResult RaftNode::propose_conf_change(const ConfChange& chang
     return out;
   }
   if (change.op == rpc::ConfChangeOp::kPromote) {
-    const auto it = progress_.find(change.server);
-    if (it == progress_.end() || it->second.match < commit_index_) {
+    const Peer* learner = find_peer(change.server);
+    if (learner == nullptr || learner->progress.match < commit_index_) {
       out.status = rpc::ConfChangeStatus::kNotCaughtUp;
       return out;
     }
@@ -322,7 +321,7 @@ void RaftNode::start(TimePoint now) {
 }
 
 void RaftNode::step(const rpc::Envelope& envelope, TimePoint now) {
-  assert(started_);
+  require_started();
   assert_inputs_allowed();
   ++counters_.messages_received;
   std::visit(
@@ -358,7 +357,7 @@ void RaftNode::step(const rpc::Envelope& envelope, TimePoint now) {
 }
 
 void RaftNode::tick(TimePoint now) {
-  assert(started_);
+  require_started();
   assert_inputs_allowed();
   if (role_ != Role::kLeader && election_deadline_ != kNever && now >= election_deadline_) {
     start_campaign(now);
@@ -370,7 +369,7 @@ void RaftNode::tick(TimePoint now) {
 }
 
 std::optional<LogIndex> RaftNode::submit(std::vector<std::uint8_t> command, TimePoint now) {
-  assert(started_);
+  require_started();
   assert_inputs_allowed();
   if (role_ != Role::kLeader) return std::nullopt;
   rpc::LogEntry entry;
@@ -393,9 +392,9 @@ std::optional<LogIndex> RaftNode::submit(std::vector<std::uint8_t> command, Time
 bool RaftNode::transfer_leadership(ServerId target, TimePoint now) {
   assert_inputs_allowed();
   if (role_ != Role::kLeader || target == id_) return false;
-  const auto it = progress_.find(target);
-  if (it == progress_.end()) return false;
-  if (it->second.match < log_.last_index()) return false;  // target not caught up
+  const Peer* p = find_peer(target);
+  if (p == nullptr) return false;
+  if (p->progress.match < log_.last_index()) return false;  // target not caught up
   // The target's transfer campaign bypasses the vote-recency guard, so the
   // usual "no rival before the lease expires" argument no longer covers this
   // leadership — from this instant until step-down, and not just until the
@@ -430,7 +429,7 @@ bool RaftNode::lease_valid(TimePoint now) const {
 }
 
 std::optional<ReadId> RaftNode::submit_read(TimePoint now) {
-  assert(started_);
+  require_started();
   assert_inputs_allowed();
   if (role_ != Role::kLeader) return std::nullopt;
   const ReadId id = ++next_read_id_;
@@ -503,36 +502,21 @@ std::optional<ReadId> RaftNode::submit_read(TimePoint now) {
   return id;
 }
 
-void RaftNode::note_round_ack(ServerId peer, std::uint64_t round, TimePoint now) {
-  if (round == 0) return;  // pre-read-path peer or non-round message
-  auto& acked = acked_round_[peer];
-  if (round <= acked) return;
-  acked = round;
+void RaftNode::note_round_ack(Peer& peer, std::uint64_t round, TimePoint now) {
+  // round 0: pre-read-path peer or non-round message.
+  if (round == 0 || round <= peer.acked_round) return;
+  peer.acked_round = round;
   // Quorum-max per voter set: the highest round a majority of the set has
   // acknowledged (self counts at broadcast_round_ when it is in the set;
   // learner echoes never gate a quorum). A joint configuration confirms a
   // round only when BOTH majorities have echoed it — the same rule its
   // commits and elections obey, so a read confirmed mid-reconfig is sound
   // against rivals elected under either configuration.
-  const auto set_round = [&](const std::vector<ServerId>& set) -> std::uint64_t {
-    std::vector<std::uint64_t> rounds;
-    rounds.reserve(set.size());
-    for (const ServerId s : set) {
-      if (s == id_) {
-        rounds.push_back(broadcast_round_);
-      } else {
-        const auto it = acked_round_.find(s);
-        rounds.push_back(it == acked_round_.end() ? 0 : it->second);
-      }
-    }
-    if (rounds.empty()) return broadcast_round_;
-    const auto nth = static_cast<std::ptrdiff_t>(rounds.size() / 2);
-    std::nth_element(rounds.begin(), rounds.begin() + nth, rounds.end(), std::greater<>());
-    return rounds[static_cast<std::size_t>(nth)];
-  };
-  std::uint64_t quorum_round = set_round(membership_.voters);
+  const auto acked = [](const Peer& q) { return q.acked_round; };
+  std::uint64_t quorum_round = quorum_value(membership_.voters, broadcast_round_, acked);
   if (membership_.joint()) {
-    quorum_round = std::min(quorum_round, set_round(membership_.old_voters));
+    quorum_round =
+        std::min(quorum_round, quorum_value(membership_.old_voters, broadcast_round_, acked));
   }
   if (quorum_round <= confirmed_round_) return;
   confirmed_round_ = quorum_round;
@@ -576,7 +560,10 @@ void RaftNode::release_ready_reads(TimePoint now) {
 }
 
 void RaftNode::grant_read(ReadId id, LogIndex read_index, bool via_lease, TimePoint now) {
-  assert(last_applied_ >= read_index);
+  if (last_applied_ < read_index) {
+    throw std::logic_error("read granted at index " + std::to_string(read_index) +
+                           " past the apply cursor " + std::to_string(last_applied_));
+  }
   ready_.read_grants.push_back({id, read_index, /*ok=*/true, via_lease});
   NodeEvent ev;
   ev.kind = NodeEvent::Kind::kReadGranted;
@@ -612,7 +599,7 @@ void RaftNode::reset_read_state(TimePoint now) {
   reject_pending_reads(now);
   revoke_lease();
   transfer_pending_ = false;
-  acked_round_.clear();
+  for (Peer& p : peers_) p.acked_round = 0;
   round_sent_at_.clear();
   broadcast_round_ = 0;
   confirmed_round_ = 0;
@@ -632,7 +619,7 @@ void RaftNode::handle_timeout_now(const rpc::TimeoutNow& m, TimePoint now) {
 
 std::optional<LogIndex> RaftNode::compact(LogIndex upto, std::vector<std::uint8_t> state,
                                           TimePoint now) {
-  assert(started_);
+  require_started();
   assert_inputs_allowed();
   if (!can_compact_) return std::nullopt;  // driver cannot persist snapshots
   upto = std::min(upto, last_applied_);    // never snapshot unapplied entries
@@ -700,7 +687,10 @@ TimePoint RaftNode::next_deadline() const {
 // --- role transitions --------------------------------------------------------
 
 void RaftNode::become_follower(Term term, ServerId leader, TimePoint now, bool reset_timer) {
-  assert(term >= current_term_);
+  if (term < current_term_) {
+    throw std::logic_error("step down to term " + std::to_string(term) + " below current term " +
+                           std::to_string(current_term_));
+  }
   const bool stepping_down = role_ != Role::kFollower;
   bool dirty = false;
   if (term > current_term_) {
@@ -765,16 +755,15 @@ void RaftNode::start_campaign(TimePoint now, bool leadership_transfer) {
 }
 
 void RaftNode::become_leader(TimePoint now) {
-  assert(role_ == Role::kCandidate);
+  if (role_ != Role::kCandidate) throw std::logic_error("only a candidate can become leader");
   role_ = Role::kLeader;
   leader_id_ = id_;
   election_deadline_ = kNever;
-  progress_.clear();
-  install_sent_round_.clear();
-  reset_read_state(now);  // a lease is earned per leadership, never inherited
+  peers_.clear();
   for (ServerId peer : others_) {
-    progress_[peer] = Progress{log_.last_index() + 1, 0, 0, false};
+    peers_.push_back({peer, Progress{log_.last_index() + 1, 0, 0, false}, 0, std::nullopt});
   }
+  reset_read_state(now);  // a lease is earned per leadership, never inherited
   // The patrol pool covers the destination voter set: learners hold no
   // priority (they never campaign) and old-only voters are being retired.
   policy_->on_become_leader(patrol_others(), current_term_);
@@ -970,20 +959,19 @@ void RaftNode::handle_append_entries_reply(const rpc::AppendEntriesReply& m, Tim
   }
   if (role_ != Role::kLeader || m.term < current_term_) return;
 
-  // The peer is alive and talking: lift the snapshot-resend throttle so a
-  // follower that still needs the snapshot gets it immediately.
-  install_sent_round_.erase(m.from);
-
   // PPF input: track log responsiveness regardless of replication outcome.
   policy_->on_follower_status(m.from, m.status);
 
+  Peer* p = find_peer(m.from);
+  if (p == nullptr) return;  // reply from a non-member
+  // The peer is alive and talking: lift the snapshot-resend throttle so a
+  // follower that still needs the snapshot gets it immediately.
+  p->snapshot_sent_round.reset();
   // Read fast path: count the echoed round toward quorum confirmation
   // (success or not — the reply proves the follower is still in our term).
-  note_round_ack(m.from, m.round, now);
+  note_round_ack(*p, m.round, now);
 
-  const auto it = progress_.find(m.from);
-  if (it == progress_.end()) return;  // reply from a non-member
-  Progress& pr = it->second;
+  Progress& pr = p->progress;
 
   if (m.success) {
     pr.match = std::max(pr.match, m.match_index);
@@ -1136,13 +1124,13 @@ void RaftNode::handle_install_snapshot_reply(const rpc::InstallSnapshotReply& m,
     return;
   }
   if (role_ != Role::kLeader || m.term < current_term_) return;
-  install_sent_round_.erase(m.from);  // it arrived; resume normal flow
+  Peer* p = find_peer(m.from);
+  if (p != nullptr) p->snapshot_sent_round.reset();  // it arrived; resume normal flow
   if (!m.success) return;
   policy_->on_follower_status(m.from, m.status);
-  note_round_ack(m.from, m.round, now);
-  const auto it = progress_.find(m.from);
-  if (it == progress_.end()) return;
-  Progress& pr = it->second;
+  if (p == nullptr) return;
+  note_round_ack(*p, m.round, now);
+  Progress& pr = p->progress;
   pr.match = std::max(pr.match, m.match_index);
   pr.next = std::max(pr.next, m.match_index + 1);
   pr.probing = false;
@@ -1159,12 +1147,10 @@ void RaftNode::broadcast_heartbeat_round(TimePoint now) {
   // depth into the policy before the patrol ranks followers, so π(P, k)
   // reflects not just the last log index a follower reported but how much
   // the leader still owes it under the current load.
-  for (ServerId peer : others_) {
-    const auto it = progress_.find(peer);
-    if (it == progress_.end()) continue;
+  for (const Peer& p : peers_) {
     const LogIndex backlog =
-        log_.last_index() > it->second.match ? log_.last_index() - it->second.match : 0;
-    policy_->on_follower_backlog(peer, backlog, it->second.inflight);
+        log_.last_index() > p.progress.match ? log_.last_index() - p.progress.match : 0;
+    policy_->on_follower_backlog(p.id, backlog, p.progress.inflight);
   }
   policy_->begin_heartbeat_round();
   ++broadcast_round_;
@@ -1177,26 +1163,25 @@ void RaftNode::broadcast_heartbeat_round(TimePoint now) {
     round_sent_at_[broadcast_round_] = now;
     while (round_sent_at_.size() > 64) round_sent_at_.erase(round_sent_at_.begin());
   }
-  for (ServerId peer : others_) {
+  for (Peer& p : peers_) {
     // Round-trip valve for the pipelining window: anything still unacked
     // after a full heartbeat interval is treated as lost — the reset reopens
     // the window, and the heartbeat itself re-probes from the optimistic
     // cursor (a follower that missed entries NACKs with conflict hints,
     // which walk the cursor back). Without this, max_inflight_msgs dropped
     // batches would wedge the window shut forever.
-    auto& pr = progress_[peer];
-    pr.inflight = 0;
-    pr.probing = false;
-    send_append_entries(peer, /*include_config=*/true);
-    maybe_send_appends(peer);  // pipeline catch-up traffic behind the round
+    p.progress.inflight = 0;
+    p.progress.probing = false;
+    send_append_entries(p.id, /*include_config=*/true);
+    maybe_send_appends(p.id);  // pipeline catch-up traffic behind the round
   }
   heartbeat_deadline_ = now + options_.heartbeat_interval;
 }
 
 void RaftNode::maybe_send_appends(ServerId peer) {
-  const auto it = progress_.find(peer);
-  if (it == progress_.end()) return;
-  Progress& pr = it->second;
+  Peer* p = find_peer(peer);
+  if (p == nullptr) return;
+  Progress& pr = p->progress;
   while (!pr.probing && pr.inflight < options_.max_inflight_msgs &&
          (pr.next <= log_.last_index() || pr.next <= log_.base())) {
     const LogIndex before = pr.next;
@@ -1220,19 +1205,20 @@ std::vector<rpc::LogEntry> RaftNode::gather_entries(LogIndex from) const {
 }
 
 void RaftNode::send_append_entries(ServerId peer, bool include_config) {
-  Progress& pr = progress_.at(peer);
+  Peer* p = find_peer(peer);
+  if (p == nullptr) throw std::logic_error("append to " + server_name(peer) + ": not a peer");
+  Progress& pr = p->progress;
   const LogIndex next = pr.next;
   if (next <= log_.base()) {
     // The entries this follower needs are compacted away; only the snapshot
     // can catch it up (Raft §7). Re-ship to a *silent* peer (likely down —
     // every copy would be dropped anyway) only every kSnapshotRetryRounds
     // heartbeats; any reply from the peer clears the throttle.
-    const auto it = install_sent_round_.find(peer);
-    if (it != install_sent_round_.end() &&
-        counters_.heartbeat_rounds - it->second < kSnapshotRetryRounds) {
+    if (p->snapshot_sent_round &&
+        counters_.heartbeat_rounds - *p->snapshot_sent_round < kSnapshotRetryRounds) {
       return;
     }
-    install_sent_round_[peer] = counters_.heartbeat_rounds;
+    p->snapshot_sent_round = counters_.heartbeat_rounds;
     send_install_snapshot(peer);
     return;
   }
@@ -1289,41 +1275,67 @@ void RaftNode::send_install_snapshot(ServerId peer) {
 }
 
 void RaftNode::maybe_advance_commit(TimePoint now) {
-  // Per-voter-set majority test. Self always counts: the Ready contract
-  // persists the leader's own entries before the acks that drive this
-  // arrive. Learners and retired peers hold Progress but sit outside every
-  // voter set, so their matches never count here.
-  const auto set_replicated = [&](const std::vector<ServerId>& set, LogIndex n) {
-    std::size_t replicas = 0;
-    for (const ServerId s : set) {
-      if (s == id_) {
-        ++replicas;
-      } else {
-        const auto it = progress_.find(s);
-        if (it != progress_.end() && it->second.match >= n) ++replicas;
-      }
-    }
-    return replicas >= set.size() / 2 + 1;
-  };
-  bool advanced = false;
-  // Raft §5.4.2: only entries of the current term commit by counting.
-  for (LogIndex n = log_.last_index(); n > commit_index_; --n) {
-    const auto t = log_.term_at(n);
-    if (!t || *t != current_term_) break;  // older-term entries commit transitively
-    // Joint consensus: a decision requires majorities of BOTH voter sets
-    // for as long as Cold,new is in force (dissertation §4.3).
-    if (!membership_.voters.empty() && set_replicated(membership_.voters, n) &&
-        (!membership_.joint() || set_replicated(membership_.old_voters, n))) {
-      commit_index_ = n;
-      apply_committed(now);
-      emit({.kind = NodeEvent::Kind::kCommitAdvanced, .term = current_term_, .index = n, .at = now});
-      advanced = true;
-      break;
-    }
+  // Raft §5.4.2: only entries of the current term commit by counting. The
+  // highest index a majority holds is the quorum match (self counts at the
+  // log tail: the Ready contract persists the leader's own entries before
+  // the acks that drive this arrive); joint consensus needs majorities of
+  // BOTH voter sets while Cold,new is in force (dissertation §4.3). Terms
+  // never decrease along the log, so if that index is not of the current
+  // term, no lower one is either: older-term entries commit transitively.
+  // Learners and retired peers hold a slot but sit outside every voter set,
+  // so their matches never count here.
+  const LogIndex last = log_.last_index();
+  if (commit_index_ >= last || membership_.voters.empty()) return;
+  const auto self = static_cast<std::uint64_t>(last);
+  const auto match = [](const Peer& p) { return static_cast<std::uint64_t>(p.progress.match); };
+  std::uint64_t majority = quorum_value(membership_.voters, self, match);
+  if (membership_.joint()) {
+    majority = std::min(majority, quorum_value(membership_.old_voters, self, match));
   }
+  const LogIndex n = std::min(static_cast<LogIndex>(majority), last);
+  if (n <= commit_index_) return;
+  const auto t = log_.term_at(n);
+  if (!t || *t != current_term_) return;
+  commit_index_ = n;
+  apply_committed(now);
+  emit({.kind = NodeEvent::Kind::kCommitAdvanced, .term = current_term_, .index = n, .at = now});
   // Conf-change state machine: committing the joint entry triggers the Cnew
   // append; committing Cnew retires a removed leader.
-  if (advanced) maybe_finish_conf_change(now);
+  maybe_finish_conf_change(now);
+}
+
+template <typename PeerValue>
+std::uint64_t RaftNode::quorum_value(const std::vector<ServerId>& set, std::uint64_t self_value,
+                                     PeerValue value) {
+  if (set.empty()) return self_value;
+  quorum_scratch_.clear();
+  // Voter sets are sorted like peers_, so one forward walk finds every
+  // member; an unsorted set only restarts the walk.
+  auto peer = peers_.cbegin();
+  ServerId previous = kNoServer;
+  for (const ServerId s : set) {
+    if (s == id_) {
+      quorum_scratch_.push_back(self_value);
+      continue;
+    }
+    if (s < previous) peer = peers_.cbegin();
+    previous = s;
+    while (peer != peers_.cend() && peer->id < s) ++peer;
+    quorum_scratch_.push_back(peer != peers_.cend() && peer->id == s ? value(*peer) : 0);
+  }
+  const auto nth = quorum_scratch_.begin() + static_cast<std::ptrdiff_t>(set.size() / 2);
+  std::nth_element(quorum_scratch_.begin(), nth, quorum_scratch_.end(), std::greater<>());
+  return *nth;
+}
+
+const RaftNode::Peer* RaftNode::find_peer(ServerId id) const {
+  const auto it = std::lower_bound(peers_.begin(), peers_.end(), id,
+                                   [](const Peer& p, ServerId s) { return p.id < s; });
+  return it != peers_.end() && it->id == id ? &*it : nullptr;
+}
+
+RaftNode::Peer* RaftNode::find_peer(ServerId id) {
+  return const_cast<Peer*>(std::as_const(*this).find_peer(id));
 }
 
 // --- common machinery ------------------------------------------------------------
@@ -1365,7 +1377,10 @@ void RaftNode::apply_committed(TimePoint now) {
   while (last_applied_ < commit_index_) {
     ++last_applied_;
     const auto* e = log_.entry_at(last_applied_);
-    assert(e != nullptr);
+    if (e == nullptr) {
+      throw std::logic_error("committed entry " + std::to_string(last_applied_) +
+                             " is missing from the log");
+    }
     ready_.committed.push_back(*e);
     ++counters_.entries_committed;
   }
@@ -1411,6 +1426,10 @@ void RaftNode::sync_soft_state() {
     // to report after all.
     ready_.soft_state.reset();
   }
+}
+
+void RaftNode::require_started() const {
+  if (!started_) throw std::logic_error("input before start()");
 }
 
 void RaftNode::assert_inputs_allowed() const {

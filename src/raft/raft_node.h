@@ -36,7 +36,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -351,8 +350,8 @@ class RaftNode {
   /// Replication progress toward `peer` (nullptr when not leader or unknown
   /// peer). Test/bench introspection into the pipelining window.
   const Progress* progress(ServerId peer) const {
-    const auto it = progress_.find(peer);
-    return it == progress_.end() ? nullptr : &it->second;
+    const Peer* p = find_peer(peer);
+    return p == nullptr ? nullptr : &p->progress;
   }
   /// Configuration clock currently adopted (0 under vanilla Raft).
   ConfClock conf_clock() const { return policy_->current_config().conf_clock; }
@@ -366,6 +365,10 @@ class RaftNode {
   std::shared_ptr<const Snapshot> snapshot() const { return snapshot_; }
 
  private:
+  /// Unit tests reach the internal protocol checks through this.
+  friend struct RaftNodeTestAccess;
+  struct Peer;  // leader-side per-peer slot (see peers_)
+
   // Role transitions.
   void become_follower(Term term, ServerId leader, TimePoint now, bool reset_timer);
   void start_campaign(TimePoint now, bool leadership_transfer = false);
@@ -422,13 +425,21 @@ class RaftNode {
   std::vector<rpc::LogEntry> gather_entries(LogIndex from) const;
   void send_install_snapshot(ServerId peer);
   void maybe_advance_commit(TimePoint now);
+  /// The highest value a majority of `set` has reached: its (|set|/2+1)-th
+  /// largest member value, with this server counted at `self_value` and a
+  /// member without a peer slot at 0. One pass over peers_ into
+  /// quorum_scratch_; both the commit rule and read-round confirmation use
+  /// it. An empty set yields `self_value`.
+  template <typename PeerValue>
+  std::uint64_t quorum_value(const std::vector<ServerId>& set, std::uint64_t self_value,
+                             PeerValue value);
 
   // Read fast path (leader side).
   /// Appends a current-term no-op barrier entry to the log and Ready batch
   /// (§5.4.2: committing it commits every inherited prior-term entry
   /// transitively).
   void append_noop(TimePoint now);
-  void note_round_ack(ServerId peer, std::uint64_t round, TimePoint now);
+  void note_round_ack(Peer& peer, std::uint64_t round, TimePoint now);
   void release_ready_reads(TimePoint now);
   void grant_read(ReadId id, LogIndex read_index, bool via_lease, TimePoint now);
   void reject_pending_reads(TimePoint now);
@@ -455,6 +466,8 @@ class RaftNode {
   /// into ready_.soft_state. Called at the end of every public input.
   void sync_soft_state();
   void assert_inputs_allowed() const;
+  /// Input guard: start() must have run.
+  void require_started() const;
 
   // Identity & collaborators.
   const ServerId id_;
@@ -497,11 +510,24 @@ class RaftNode {
   // Candidate state.
   std::set<ServerId> votes_;
 
-  // Leader state.
-  std::unordered_map<ServerId, Progress> progress_;
-  /// Heartbeat round at which an InstallSnapshot was last shipped per peer;
-  /// throttles resends to silent followers (see kSnapshotRetryRounds).
-  std::unordered_map<ServerId, std::uint64_t> install_sent_round_;
+  // Leader state: one slot per replication target (others_), sorted by id,
+  // so the per-ack quorum pass reads every voter's match and acked round
+  // from one flat array.
+  struct Peer {
+    ServerId id = kNoServer;
+    Progress progress;
+    /// Highest heartbeat round this peer has echoed (read path; zeroed on
+    /// every role change with the rest of the read state).
+    std::uint64_t acked_round = 0;
+    /// Heartbeat round at which an InstallSnapshot was last shipped;
+    /// throttles resends to silent followers (see kSnapshotRetryRounds).
+    std::optional<std::uint64_t> snapshot_sent_round;
+  };
+  std::vector<Peer> peers_;
+  /// Reused buffer for quorum_value (no allocation per ack).
+  std::vector<std::uint64_t> quorum_scratch_;
+  const Peer* find_peer(ServerId id) const;
+  Peer* find_peer(ServerId id);
 
   // Read fast path (leader volatile state; cleared on every role change).
   struct PendingRead {
@@ -516,7 +542,6 @@ class RaftNode {
   std::vector<PendingRead> pending_reads_;  ///< in acceptance (= release) order
   std::uint64_t broadcast_round_ = 0;       ///< rounds broadcast this leadership
   std::uint64_t confirmed_round_ = 0;       ///< highest quorum-acked round
-  std::unordered_map<ServerId, std::uint64_t> acked_round_;  ///< highest echo per peer
   std::map<std::uint64_t, TimePoint> round_sent_at_;  ///< unconfirmed rounds only
   TimePoint lease_until_ = 0;   ///< lease expiry (0 = no lease)
   ConfClock lease_clock_ = 0;   ///< confClock when granted; advance revokes

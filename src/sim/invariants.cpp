@@ -58,19 +58,36 @@ void InvariantChecker::on_event(const raft::NodeEvent& event) {
 
 void InvariantChecker::check_config_uniqueness() {
   // Lemma 3: same configuration clock implies different configurations.
-  std::map<ConfClock, std::map<Priority, ServerId>> seen;
-  for (ServerId id : cluster_.members()) {
-    if (!cluster_.alive(id)) continue;
-    const auto cfg = cluster_.node(id).policy().current_config();
+  // Every live server, every call: holders of one pi(P, k) sort next to
+  // each other, in member order within the pair.
+  held_.clear();
+  const auto& members = cluster_.members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (!cluster_.alive(members[i])) continue;
+    const auto cfg = cluster_.node(members[i]).policy().current_config();
     if (cfg.priority == 0 && cfg.conf_clock == 0) continue;  // non-ESCAPE policy
-    auto& owners = seen[cfg.conf_clock];
-    const auto [it, inserted] = owners.try_emplace(cfg.priority, id);
-    if (!inserted) {
-      std::ostringstream os;
-      os << "config uniqueness (Lemma 3): pi(P=" << cfg.priority << ",k=" << cfg.conf_clock
-         << ") held by both " << server_name(it->second) << " and " << server_name(id);
-      add_violation(os.str());
+    held_.push_back({cfg.conf_clock, cfg.priority, i});
+  }
+  std::sort(held_.begin(), held_.end());
+  // Each extra holder collides with the pair's first holder; report in the
+  // order the extra holders appear among the members.
+  collisions_.clear();
+  std::size_t first = 0;
+  for (std::size_t j = 1; j < held_.size(); ++j) {
+    if (held_[j].clock != held_[first].clock || held_[j].priority != held_[first].priority) {
+      first = j;
+    } else {
+      collisions_.push_back({held_[j].member, first});
     }
+  }
+  std::sort(collisions_.begin(), collisions_.end());
+  for (const auto& [member, owner] : collisions_) {
+    const Held& h = held_[owner];
+    std::ostringstream os;
+    os << "config uniqueness (Lemma 3): pi(P=" << h.priority << ",k=" << h.clock
+       << ") held by both " << server_name(members[h.member]) << " and "
+       << server_name(members[member]);
+    add_violation(os.str());
   }
 }
 

@@ -27,6 +27,8 @@
 
 #include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/sim_cluster.h"
@@ -63,6 +65,19 @@ class InvariantChecker {
 
   SimCluster& cluster_;
   bool check_configs_;
+  /// check_config_uniqueness's buffers, reused across calls: one entry per
+  /// live ESCAPE server (`member` indexes cluster_.members()), and the
+  /// colliding (later member, index of the pair's first entry in held_).
+  struct Held {
+    ConfClock clock;
+    Priority priority;
+    std::size_t member;
+    bool operator<(const Held& o) const {
+      return std::tie(clock, priority, member) < std::tie(o.clock, o.priority, o.member);
+    }
+  };
+  std::vector<Held> held_;
+  std::vector<std::pair<std::size_t, std::size_t>> collisions_;
   std::map<Term, ServerId> leaders_by_term_;
   std::vector<std::string> violations_;
   std::size_t reads_checked_ = 0;

@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -239,7 +240,9 @@ class SimCluster {
   EventLoop* loop_;
   Rng rng_;
   std::unique_ptr<SimNetwork> network_;
-  std::map<ServerId, Host> hosts_;
+  /// Looked up on every delivery, pump and invariant scan; nothing iterates
+  /// it, so a hash map costs no determinism.
+  std::unordered_map<ServerId, Host> hosts_;
   std::vector<raft::NodeEvent> event_log_;
   std::map<std::size_t, std::function<void(const raft::NodeEvent&)>> listeners_;
   std::size_t next_listener_handle_ = 0;

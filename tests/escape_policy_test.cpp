@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <set>
+#include <vector>
 
 namespace escape::core {
 namespace {
@@ -369,6 +373,163 @@ TEST(EscapePolicyTest, TimeoutOverrideWins) {
   EXPECT_EQ(p.next_election_timeout(rng), election_period(test_options(), 5, 2));
   p.set_timeout_override(nullptr);
   EXPECT_EQ(p.next_election_timeout(rng), election_period(test_options(), 5, 2));
+}
+
+// --- patrol deal: flat rank keys vs the map-based comparator ------------------
+
+/// The patrol as it stood before ranks were precomputed: probes and deals in
+/// std::maps, looked up inside the sort comparator, dealt into a std::map.
+/// The hysteresis thresholds mirror kLagThreshold / kBacklogLagThreshold.
+struct PatrolOracle {
+  struct Probe {
+    LogIndex log_index = 0;
+    LogIndex backlog = 0;
+  };
+  EscapeOptions options;
+  std::size_t n = 0;
+  std::vector<ServerId> followers;
+  std::map<ServerId, Probe> probes;
+  std::map<ServerId, rpc::Configuration> assignments;
+  ConfClock round_clock = 0;
+  ConfClock max_clock_seen = 0;
+
+  void become_leader(std::vector<ServerId> others, Term term) {
+    followers = std::move(others);
+    std::sort(followers.begin(), followers.end());
+    probes.clear();
+    assignments.clear();
+    round_clock = std::max({round_clock, max_clock_seen, term * kConfClockStride});
+    for (ServerId f : followers) probes[f];
+  }
+
+  void membership_changed(std::vector<ServerId> others, std::size_t voters) {
+    n = voters;
+    std::sort(others.begin(), others.end());
+    if (others == followers) return;
+    followers = std::move(others);
+    for (auto it = probes.begin(); it != probes.end();) {
+      it = std::binary_search(followers.begin(), followers.end(), it->first) ? std::next(it)
+                                                                              : probes.erase(it);
+    }
+    for (ServerId f : followers) probes[f];
+    assignments.clear();
+  }
+
+  void status(ServerId f, LogIndex index, ConfClock clock) {
+    const auto it = probes.find(f);
+    if (it == probes.end()) return;
+    it->second.log_index = index;
+    max_clock_seen = std::max(max_clock_seen, clock);
+  }
+
+  void patrol() {
+    LogIndex best = 0;
+    for (ServerId f : followers) best = std::max(best, probes.at(f).log_index);
+    LogIndex min_backlog = 0;
+    bool any = false;
+    for (ServerId f : followers) {
+      const LogIndex b = probes.at(f).backlog;
+      if (!any || b < min_backlog) min_backlog = b;
+      any = true;
+    }
+    const auto lagging = [&](ServerId f) {
+      const Probe& p = probes.at(f);
+      return best - p.log_index > 10 || p.backlog - min_backlog > 64;
+    };
+    const auto previous = [&](ServerId f) -> Priority {
+      const auto it = assignments.find(f);
+      return it == assignments.end() ? 0 : it->second.priority;
+    };
+    std::vector<ServerId> order = followers;
+    std::sort(order.begin(), order.end(), [&](ServerId a, ServerId b) {
+      const bool la = lagging(a);
+      const bool lb = lagging(b);
+      if (la != lb) return !la;
+      if (la) {
+        const auto ia = probes.at(a).log_index;
+        const auto ib = probes.at(b).log_index;
+        if (ia != ib) return ia > ib;
+        const auto ba = probes.at(a).backlog;
+        const auto bb = probes.at(b).backlog;
+        if (ba != bb) return ba < bb;
+      }
+      const auto pa = previous(a);
+      const auto pb = previous(b);
+      if (pa != pb) return pa > pb;
+      return a > b;
+    });
+    std::map<ServerId, Priority> proposed;
+    Priority p = static_cast<Priority>(n);
+    for (ServerId f : order) {
+      if (p < 2) break;
+      proposed[f] = p--;
+    }
+    bool changed = assignments.empty() || max_clock_seen > round_clock;
+    for (const auto& [f, prio] : proposed) {
+      const auto it = assignments.find(f);
+      if (it == assignments.end() || it->second.priority != prio) changed = true;
+    }
+    if (!changed) return;
+    round_clock = std::max(round_clock, max_clock_seen) + 1;
+    for (const auto& [f, prio] : proposed) {
+      rpc::Configuration c;
+      c.priority = prio;
+      c.timer_period = election_period(options, n, prio);
+      c.conf_clock = round_clock;
+      assignments[f] = c;
+    }
+    max_clock_seen = round_clock;
+  }
+};
+
+TEST(PpfTest, FlatRankDealMatchesMapComparator) {
+  std::mt19937_64 rng(7);
+  const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  for (const std::size_t n : {std::size_t{3}, std::size_t{8}, std::size_t{128}}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      EscapePolicy policy(1, n, test_options());
+      PatrolOracle oracle;
+      oracle.options = test_options();
+      oracle.n = n;
+      std::vector<ServerId> others;
+      for (ServerId id = 2; id <= n; ++id) others.push_back(id);
+      const Term term = pick(1, 5);
+      policy.on_become_leader(others, term);
+      oracle.become_leader(others, term);
+      if (trial % 4 == 3) {
+        // The leader is leaving the voter set: it patrols all n voters and
+        // the lowest-ranked one keeps its standing deal.
+        others.push_back(static_cast<ServerId>(n + 1));
+        policy.on_membership_changed(others, n);
+        oracle.membership_changed(others, n);
+      }
+      LogIndex frontier = 100;
+      for (int round = 0; round < 30; ++round) {
+        frontier += pick(0, 8);
+        for (const ServerId f : others) {
+          if (pick(0, 3) == 0) continue;  // this round's reply was lost
+          // Mostly near the frontier (ties broken by the standing deal),
+          // sometimes a material laggard; clocks occasionally run ahead.
+          rpc::ConfigStatus st;
+          st.log_index = frontier - (pick(0, 4) == 0 ? pick(11, 60) : pick(0, 10));
+          st.conf_clock = pick(0, 40) == 0 ? policy.issued_clock() + pick(1, 3) : 0;
+          policy.on_follower_status(f, st);
+          oracle.status(f, st.log_index, st.conf_clock);
+          const LogIndex backlog = pick(0, 3) == 0 ? pick(0, 150) : pick(0, 20);
+          policy.on_follower_backlog(f, backlog, 0);
+          oracle.probes.at(f).backlog = backlog;
+        }
+        policy.begin_heartbeat_round();
+        oracle.patrol();
+        ASSERT_EQ(policy.assignments(), oracle.assignments)
+            << "n=" << n << " trial " << trial << " round " << round;
+        ASSERT_EQ(policy.issued_clock(), oracle.round_clock)
+            << "n=" << n << " trial " << trial << " round " << round;
+      }
+    }
+  }
 }
 
 }  // namespace

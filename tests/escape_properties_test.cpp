@@ -4,8 +4,12 @@
 // optimization (the top-priority follower detects first).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <sstream>
+#include <utility>
+#include <vector>
 
 #include "test_cluster_util.h"
 
@@ -83,6 +87,39 @@ TEST_P(EscapePropertySeeds, ConfigUniquenessHoldsThroughChurn) {
     cluster.loop().run_until(cluster.loop().now() + from_ms(4'000));
   }
   EXPECT_TRUE(inv.ok()) << inv.violations().front();
+}
+
+TEST(EscapePropertyTest, ConfigUniquenessCheckerReportsACollision) {
+  // The Lemma 3 checker must be able to fire: force two live followers onto
+  // the same pi(P, k) and crash the leader. The successor's election runs
+  // the full scan before its first patrol re-deals anything, so the
+  // collision is still there to be found, and both holders are named.
+  SimCluster cluster(paper_escape_cluster(7, 11));
+  InvariantChecker inv(cluster, /*check_configs=*/true);
+  ASSERT_NE(sim::bootstrap(cluster), kNoServer);
+  ASSERT_TRUE(inv.ok()) << inv.violations().front();
+
+  // The two lowest-priority followers: neither detects the crash first, so
+  // neither is the successor whose own configuration the patrol rewrites.
+  const ServerId leader = cluster.leader();
+  std::vector<std::pair<Priority, ServerId>> ranked;
+  for (ServerId id : cluster.members()) {
+    if (id != leader) ranked.emplace_back(cluster.node(id).policy().current_config().priority, id);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  const ServerId a = ranked[0].second;
+  const ServerId b = ranked[1].second;
+  const rpc::Configuration shared = cluster.node(a).policy().current_config();
+  cluster.node(b).mutable_policy().restore(shared);
+
+  cluster.crash(leader);
+  ASSERT_NE(cluster.run_until_leader(cluster.loop().now() + from_ms(60'000)), kNoServer);
+  ASSERT_FALSE(inv.ok());
+  std::ostringstream want;
+  want << "config uniqueness (Lemma 3): pi(P=" << shared.priority << ",k=" << shared.conf_clock
+       << ") held by both " << server_name(std::min(a, b)) << " and "
+       << server_name(std::max(a, b));
+  EXPECT_EQ(inv.violations().front(), want.str());
 }
 
 TEST_P(EscapePropertySeeds, ConfClockIsMonotonicPerServer) {

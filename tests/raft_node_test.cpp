@@ -6,10 +6,32 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <stdexcept>
+
 #include "storage/state_store.h"
 #include "storage/wal.h"
 
 namespace escape::raft {
+
+/// Reaches the protocol checks that no well-formed input sequence can
+/// violate, so a test can show that each one throws.
+struct RaftNodeTestAccess {
+  static void step_down_to(RaftNode& n, Term term) {
+    n.become_follower(term, kNoServer, /*now=*/0, /*reset_timer=*/false);
+  }
+  static void become_leader(RaftNode& n) { n.become_leader(/*now=*/0); }
+  static void grant_read(RaftNode& n, LogIndex read_index) {
+    n.grant_read(/*id=*/1, read_index, /*via_lease=*/false, /*now=*/0);
+  }
+  static void apply_through(RaftNode& n, LogIndex index) {
+    n.commit_index_ = index;
+    n.apply_committed(/*now=*/0);
+  }
+};
+
 namespace {
 
 constexpr Duration kMin = from_ms(100);
@@ -747,6 +769,206 @@ TEST(RaftPipelineTest, PowHistogramBucketsByBitWidth) {
   EXPECT_EQ(h.buckets[3], 2u);  // 4-7
   EXPECT_EQ(h.buckets[4], 1u);  // 8-15
   EXPECT_DOUBLE_EQ(h.mean(), (0 + 1 + 2 + 3 + 4 + 7 + 8 + 1024) / 8.0);
+}
+
+// --- always-on protocol checks ---------------------------------------------
+// These were asserts, compiled out of the default (RelWithDebInfo, NDEBUG)
+// build that every simulator sweep and fuzz run uses. Each must now throw
+// std::logic_error whatever the build type.
+
+RaftNode bare_node(Bootstrap boot = {}) {
+  return RaftNode(1, std::vector<ServerId>{1, 2, 3},
+                  std::make_unique<RaftRandomizedPolicy>(kMin, kMax), Rng(7), NodeOptions{},
+                  std::move(boot));
+}
+
+TEST(RaftNodeChecksTest, EveryInputRequiresStart) {
+  RaftNode node = bare_node();
+  rpc::AppendEntries ae;
+  ae.term = 1;
+  ae.leader_id = 2;
+  EXPECT_THROW(node.step({2, 1, ae}, 0), std::logic_error);
+  EXPECT_THROW(node.tick(0), std::logic_error);
+  EXPECT_THROW(node.submit({1}, 0), std::logic_error);
+  EXPECT_THROW(node.submit_read(0), std::logic_error);
+  EXPECT_THROW(node.propose_conf_change({rpc::ConfChangeOp::kAddLearner, 4}, 0),
+               std::logic_error);
+  EXPECT_THROW(node.compact(0, {}, 0), std::logic_error);
+}
+
+TEST(RaftNodeChecksTest, StepDownNeverLowersTheTerm) {
+  Bootstrap boot;
+  boot.hard_state = HardState{5, kNoServer, {}};
+  RaftNode node = bare_node(std::move(boot));
+  node.start(0);
+  EXPECT_NO_THROW(RaftNodeTestAccess::step_down_to(node, 5));
+  EXPECT_THROW(RaftNodeTestAccess::step_down_to(node, 4), std::logic_error);
+  EXPECT_EQ(node.term(), 5);
+}
+
+TEST(RaftNodeChecksTest, OnlyACandidateBecomesLeader) {
+  RaftNode node = bare_node();
+  node.start(0);
+  EXPECT_THROW(RaftNodeTestAccess::become_leader(node), std::logic_error);
+  EXPECT_EQ(node.role(), Role::kFollower);
+}
+
+TEST(RaftNodeChecksTest, ReadsAreNeverGrantedPastTheApplyCursor) {
+  RaftNode node = bare_node();
+  node.start(0);
+  EXPECT_THROW(RaftNodeTestAccess::grant_read(node, node.last_applied() + 1), std::logic_error);
+}
+
+TEST(RaftNodeChecksTest, CommittingAMissingEntryThrows) {
+  RaftNode node = bare_node();
+  node.start(0);
+  EXPECT_THROW(RaftNodeTestAccess::apply_through(node, node.log().last_index() + 1),
+               std::logic_error);
+}
+
+// --- commit rule: single quorum pass vs the per-index scan ---------------------
+
+/// The commit rule as it stood before the single-pass quorum: walk down from
+/// `last`, stop at the first entry of an older term, and commit the first
+/// index a majority of every voter set holds (self always counts).
+LogIndex per_index_scan(const rpc::Membership& m, ServerId self,
+                        const std::map<ServerId, LogIndex>& match, const Log& log,
+                        LogIndex last, LogIndex commit, Term term) {
+  const auto replicated = [&](const std::vector<ServerId>& set, LogIndex n) {
+    std::size_t replicas = 0;
+    for (const ServerId s : set) {
+      const auto it = match.find(s);
+      if (s == self || (it != match.end() && it->second >= n)) ++replicas;
+    }
+    return replicas >= set.size() / 2 + 1;
+  };
+  for (LogIndex n = last; n > commit; --n) {
+    const auto t = log.term_at(n);
+    if (!t || *t != term) break;
+    if (!m.voters.empty() && replicated(m.voters, n) &&
+        (!m.joint() || replicated(m.old_voters, n))) {
+      return n;
+    }
+  }
+  return commit;
+}
+
+TEST(RaftCommitRuleTest, SingleQuorumPassMatchesPerIndexScan) {
+  std::mt19937_64 rng(20221017);
+  const auto pick = [&](std::uint64_t lo, std::uint64_t hi) {
+    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
+  };
+  int joint_trials = 0;
+  int learner_trials = 0;
+  int acks_checked = 0;
+  int advances = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    // Server 1 leads. Voters are drawn from 2..12 plus self; a joint trial
+    // adds an overlapping old voter set; learners come from the ids nobody
+    // votes with.
+    rpc::Membership target;
+    target.voters = {1};
+    for (ServerId s = 2; s <= 12; ++s) {
+      if (pick(0, 2) == 0) target.voters.push_back(s);
+    }
+    const bool joint = pick(0, 2) == 0;
+    if (joint) {
+      target.old_voters = {1};
+      for (ServerId s = 2; s <= 12; ++s) {
+        if (pick(0, 2) == 0) target.old_voters.push_back(s);
+      }
+      // Sometimes the leader is removing itself: it then counts only
+      // toward the old majority.
+      if (pick(0, 3) == 0) {
+        target.voters.erase(target.voters.begin());
+        if (target.voters.empty()) target.voters.push_back(2);
+      }
+    }
+    for (ServerId s = 13; s <= 14; ++s) {
+      if (pick(0, 1) == 0) target.learners.push_back(s);
+    }
+    if (target.joint()) ++joint_trials;
+    if (!target.learners.empty()) ++learner_trials;
+
+    // Mixed-term recovered log; a joint trial carries the joint entry
+    // (uncommitted) somewhere in it, so the config is in force at election.
+    Bootstrap boot;
+    const Term recovered_term = static_cast<Term>(pick(1, 4));
+    boot.hard_state = HardState{recovered_term, kNoServer, {}};
+    rpc::Membership base = target;
+    if (target.joint()) {
+      base.voters = target.old_voters;
+      base.old_voters.clear();
+    }
+    const auto len = static_cast<LogIndex>(pick(0, 8));
+    const LogIndex conf_at = target.joint() ? static_cast<LogIndex>(pick(1, len + 1)) : 0;
+    Term t = 1;
+    for (LogIndex i = 1; i <= std::max(len, conf_at); ++i) {
+      t = std::min<Term>(recovered_term, t + static_cast<Term>(pick(0, 1)));
+      rpc::LogEntry e;
+      e.term = t;
+      e.index = i;
+      if (i == conf_at) {
+        e.kind = rpc::EntryKind::kConfChange;
+        e.command = encode_conf_entry(target);
+      }
+      boot.log.push_back(e);
+    }
+    NodeOptions opts;
+    opts.commit_noop_on_elect = true;
+    RaftNode node(1, base, std::make_unique<RaftRandomizedPolicy>(kMin, kMax), Rng(trial),
+                  opts, std::move(boot));
+    node.start(0);
+    node.tick(kMax + 1);  // a sole voter wins here, everyone else campaigns
+    for (const ServerId v : voter_union(node.membership())) {
+      rpc::RequestVoteReply vote;
+      vote.term = node.term();
+      vote.vote_granted = true;
+      vote.voter_id = v;
+      node.step({v, 1, vote}, kMax + 1);
+    }
+    ASSERT_EQ(node.role(), Role::kLeader);
+    for (int i = static_cast<int>(pick(0, 4)); i > 0; --i) node.submit({1}, kMax + 1);
+
+    // Random successful acks from voters and learners alike.
+    std::vector<ServerId> peers = all_members(node.membership());
+    peers.erase(std::remove(peers.begin(), peers.end(), ServerId{1}), peers.end());
+    for (int ack = 0; ack < 40 && !peers.empty(); ++ack) {
+      const ServerId from = peers[pick(0, peers.size() - 1)];
+      rpc::AppendEntriesReply reply;
+      reply.term = node.term();
+      reply.success = true;
+      reply.from = from;
+      reply.match_index = static_cast<LogIndex>(pick(0, node.log().last_index()));
+      std::map<ServerId, LogIndex> match;
+      for (const ServerId s : peers) match[s] = node.progress(s)->match;
+      match[from] = std::max(match[from], reply.match_index);
+      const rpc::Membership before = node.membership();
+      const LogIndex last = node.log().last_index();
+      const LogIndex conf_index = node.conf_index();
+      const LogIndex commit = node.commit_index();
+      node.step({from, 1, reply}, kMax + 1);
+      // The leader never rewrites its log, so the post-step log answers
+      // every term lookup at or below `last`.
+      LogIndex want = per_index_scan(before, 1, match, node.log(), last, commit, node.term());
+      if (want > commit && before.joint() && conf_index <= want) {
+        // Committing Cold,new appends Cnew; the leader counts again under it.
+        want = per_index_scan(finish_joint(before), 1, match, node.log(),
+                              node.log().last_index(), want, node.term());
+      }
+      ASSERT_EQ(node.commit_index(), want) << "trial " << trial << " ack " << ack;
+      ++acks_checked;
+      if (want > commit) ++advances;
+      if (node.role() != Role::kLeader) break;  // committed Cnew retired it
+      // Committing the joint entry appends Cnew and can retire peers.
+      peers = all_members(node.membership());
+      peers.erase(std::remove(peers.begin(), peers.end(), ServerId{1}), peers.end());
+    }
+  }
+  EXPECT_GT(joint_trials, 50);
+  EXPECT_GT(learner_trials, 100);
+  EXPECT_GT(acks_checked, 5000);
+  EXPECT_GT(advances, 300);
 }
 
 }  // namespace
