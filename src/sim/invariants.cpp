@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -69,19 +71,21 @@ void InvariantChecker::check_config_uniqueness() {
     held_.push_back({cfg.conf_clock, cfg.priority, i});
   }
   std::sort(held_.begin(), held_.end());
-  // Each extra holder collides with the pair's first holder; report in the
-  // order the extra holders appear among the members.
-  collisions_.clear();
+  // Each extra holder collides with the pair's first holder. Entries are
+  // (extra holder's member position, first holder's index in held_), sorted
+  // so reports follow member order; the list stays empty, unallocated, when
+  // no pair collides.
+  std::vector<std::pair<std::size_t, std::size_t>> collisions;
   std::size_t first = 0;
   for (std::size_t j = 1; j < held_.size(); ++j) {
     if (held_[j].clock != held_[first].clock || held_[j].priority != held_[first].priority) {
       first = j;
     } else {
-      collisions_.push_back({held_[j].member, first});
+      collisions.push_back({held_[j].member, first});
     }
   }
-  std::sort(collisions_.begin(), collisions_.end());
-  for (const auto& [member, owner] : collisions_) {
+  std::sort(collisions.begin(), collisions.end());
+  for (const auto& [member, owner] : collisions) {
     const Held& h = held_[owner];
     std::ostringstream os;
     os << "config uniqueness (Lemma 3): pi(P=" << h.priority << ",k=" << h.clock

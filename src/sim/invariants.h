@@ -28,7 +28,6 @@
 #include <map>
 #include <string>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "sim/sim_cluster.h"
@@ -65,9 +64,8 @@ class InvariantChecker {
 
   SimCluster& cluster_;
   bool check_configs_;
-  /// check_config_uniqueness's buffers, reused across calls: one entry per
-  /// live ESCAPE server (`member` indexes cluster_.members()), and the
-  /// colliding (later member, index of the pair's first entry in held_).
+  /// check_config_uniqueness's buffer, reused across calls: one entry per
+  /// live ESCAPE server (`member` indexes cluster_.members()).
   struct Held {
     ConfClock clock;
     Priority priority;
@@ -77,7 +75,6 @@ class InvariantChecker {
     }
   };
   std::vector<Held> held_;
-  std::vector<std::pair<std::size_t, std::size_t>> collisions_;
   std::map<Term, ServerId> leaders_by_term_;
   std::vector<std::string> violations_;
   std::size_t reads_checked_ = 0;
